@@ -72,7 +72,13 @@ std::string chain_formula_of(const Stream& s, const LoopNest& nest) {
       terms.push_back(extent.to_string());
     } else {
       single_unit = false;
-      terms.push_back("(" + extent.to_string() + ")/" + std::to_string(k));
+      // Appended piecewise: GCC 12 at -O3 flags `"(" + temporary` with a
+      // false -Wrestrict.
+      std::string term = "(";
+      term += extent.to_string();
+      term += ")/";
+      term += std::to_string(k);
+      terms.push_back(std::move(term));
     }
   }
   if (terms.empty()) return "1";

@@ -33,7 +33,13 @@ class CPrinter final : public detail::PrinterBase {
   void visit(const ChanDecl& n) override {
     std::string dims;
     for (const auto& [lo, hi] : n.ranges) {
-      dims += "[" + lo.to_string() + " .. " + hi.to_string() + "]";
+      // Appended piecewise: GCC 12 at -O3 flags `"[" + temporary` with a
+      // false -Wrestrict.
+      dims += '[';
+      dims += lo.to_string();
+      dims += " .. ";
+      dims += hi.to_string();
+      dims += ']';
     }
     line("channel " + n.name + dims + ";");
   }

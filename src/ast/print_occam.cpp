@@ -37,7 +37,11 @@ class OccamPrinter final : public detail::PrinterBase {
   void visit(const ChanDecl& n) override {
     std::string dims;
     for (const auto& [lo, hi] : n.ranges) {
-      dims += "[" + (hi - lo + AffineExpr(1)).to_string() + "]";
+      // Appended piecewise: GCC 12 at -O3 flags `"[" + temporary` with a
+      // false -Wrestrict.
+      dims += '[';
+      dims += (hi - lo + AffineExpr(1)).to_string();
+      dims += ']';
     }
     line(dims + "CHAN OF INT " + n.name + " :");
   }

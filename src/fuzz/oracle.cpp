@@ -203,7 +203,7 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
 
     MetricCheck mc;
     auto check_engine = [&](const std::string& what,
-                            const InstantiateOptions& opt, bool rounds) {
+                            const InstantiateOptions& opt) {
       if (!diff.empty() || !mc.detail.empty()) return;
       stage = what;
       IndexedStore store = seeded_lane(design.nest, sizes, 0);
@@ -217,10 +217,8 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
           ref.transfers_per_stream != got.transfers_per_stream) {
         mc.detail = what + " per-stream transfer counts diverge";
       }
-      if (rounds) {
-        mc.expect_eq(ref.scheduler_rounds, got.scheduler_rounds,
-                     what + " rounds");
-      }
+      mc.expect_eq(ref.scheduler_rounds, got.scheduler_rounds,
+                   what + " rounds");
     };
 
     // Plan-template expansion (compile_template + expand_template) instead
@@ -228,26 +226,18 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
     PlanCache cache;
     InstantiateOptions templ;
     templ.plan_cache = &cache;
-    check_engine("template", templ, true);
+    check_engine("template", templ);
 
     // The instrumented scheduler (a positive round budget forces it).
     InstantiateOptions instr;
     instr.watchdog.max_rounds = Int{1} << 40;
-    check_engine("instrumented", instr, true);
-
-    // Work-stealing substrate; scheduler_rounds is a max over shards and
-    // legitimately differs from the sequential engines.
-    if (options.threads > 0) {
-      InstantiateOptions par;
-      par.threads = options.threads;
-      check_engine("threads", par, false);
-    }
+    check_engine("instrumented", instr);
 
     // Bytecode VM, solo: replicates the fast loop's round structure, so
     // even the round count must agree.
     InstantiateOptions vm;
     vm.backend = Backend::Bytecode;
-    check_engine("bytecode", vm, true);
+    check_engine("bytecode", vm);
 
     // Bytecode SoA batch: every lane against its own sequential baseline.
     if (diff.empty() && mc.detail.empty() && options.batch > 1) {

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -153,10 +152,6 @@ class FaultInjector {
   [[nodiscard]] bool roll_duplicate(const Channel& chan, Int transfer_index);
 
   /// Record a fault that actually fired (scheduler calls this).
-  /// Thread-safe: on the work-stealing substrate, stall and kill faults
-  /// fire on whichever worker claimed the process. The PRNG itself is
-  /// only touched single-threaded (spawn-time rolls; delay/duplicate
-  /// rolls are rejected for parallel runs).
   void record(FaultKind kind, const std::string& target, Int detail);
 
   [[nodiscard]] const std::vector<std::string>& log() const noexcept {
@@ -170,7 +165,6 @@ class FaultInjector {
   const FaultPlan& plan_;
   SplitMix64 rng_;
   std::vector<bool> fired_;  ///< explicit specs that already fired
-  std::mutex log_mu_;        ///< guards log_ (see record)
   std::vector<std::string> log_;
 };
 

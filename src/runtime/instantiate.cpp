@@ -10,7 +10,6 @@
 #include "analysis/verify.hpp"
 #include "runtime/bytecode.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/shard.hpp"
 #include "runtime/vm.hpp"
 #include "support/error.hpp"
 
@@ -221,58 +220,6 @@ RunMetrics execute(const CompiledProgram& program, const LoopNest& nest,
                             options.watchdog.max_blocked_rounds > 0 ||
                             options.watchdog.cancel != nullptr;
 
-  const unsigned threads = options.threads;
-  if (threads > 1) {
-    // The work-stealing substrate keeps results bit-identical to the
-    // sequential schedule only when nothing depends on arrival order or
-    // on schedule-order PRNG state; anything else must run sequentially.
-    if (options.trace != nullptr) {
-      raise(ErrorKind::Validation,
-            "parallel execution (threads > 1) cannot be combined with "
-            "tracing (trace order is schedule-dependent); run traced "
-            "modes sequentially");
-    }
-    if (faulted) {
-      for (const FaultSpec& spec : options.faults->specs()) {
-        if (spec.kind == FaultKind::Delay ||
-            spec.kind == FaultKind::Duplicate) {
-          raise(ErrorKind::Validation,
-                "parallel execution cannot inject transfer faults "
-                "(delay/duplicate): their PRNG state is consumed in "
-                "schedule order; stall/kill faults roll at spawn time "
-                "and are allowed");
-        }
-      }
-      const FaultProfile& prof = options.faults->profile();
-      if (prof.delay_probability > 0.0 ||
-          prof.duplicate_probability > 0.0) {
-        raise(ErrorKind::Validation,
-              "parallel execution cannot inject transfer faults "
-              "(delay/duplicate): their PRNG state is consumed in "
-              "schedule order; stall/kill faults roll at spawn time "
-              "and are allowed");
-      }
-    }
-    if (options.watchdog.max_blocked_rounds > 0) {
-      raise(ErrorKind::Validation,
-            "parallel execution cannot enforce per-process starvation "
-            "bounds (--watchdog-blocked): they are defined in sequential "
-            "scheduler rounds; use --watchdog-rounds or a wall-clock "
-            "deadline instead");
-    }
-    if (options.channel_capacity > 0 || options.merge_internal_buffers) {
-      raise(ErrorKind::Validation,
-            "parallel execution requires pure rendezvous channels "
-            "(capacity 0, unmerged internal buffers): buffered hand-off "
-            "timestamps depend on arrival order");
-    }
-    if (options.partition_grid.dim() != 0) {
-      raise(ErrorKind::Validation,
-            "parallel execution cannot be combined with partitioning "
-            "(partition blocks share a logical clock across workers)");
-    }
-  }
-
   // Gather every input pipe's values into one flat buffer up front. The
   // legacy path read the store pipe-by-pipe while building the network;
   // outputs are only written during/after the run, so a bulk pre-run
@@ -303,88 +250,61 @@ RunMetrics execute(const CompiledProgram& program, const LoopNest& nest,
                                     ? plan->procs.size()
                                     : plan->clock_count;
 
-  // Fast and sharded paths extract into a flat buffer committed after a
+  // The fast path extracts into a flat buffer committed after a
   // successful run; the instrumented path keeps the legacy write-through
   // output processes so a faulted run's partial results stay observable.
   std::vector<Value> out_values;
-  std::vector<Int> channel_transfers;
 
-  if (threads > 1) {
-    out_values.assign(plan->elems.size(), 0);
-    std::optional<FaultInjector> injector;
-    ShardRunOptions sopt;
-    sopt.watchdog = options.watchdog;
-    sopt.pool = options.worker_pool;
-    if (faulted) {
-      injector.emplace(*options.faults);
-      sopt.injector = &*injector;
-    }
-    ShardRunStats stats = run_sharded(*plan, threads, in_values.data(),
-                                      out_values.data(), sopt);
-    metrics.makespan = stats.makespan;
-    metrics.statements = stats.statements;
-    metrics.total_transfers = stats.total_transfers;
-    metrics.scheduler_rounds = stats.rounds;
-    metrics.shards = stats.shards;
-    metrics.workers = std::move(stats.workers);
-    metrics.faults_injected = injector ? injector->injected() : 0;
-    channel_transfers = std::move(stats.channel_transfers);
-  } else {
-    Scheduler sched;
-    std::optional<FaultInjector> injector;
-    if (faulted) {
-      injector.emplace(*options.faults);
-      sched.set_fault_injector(&*injector);
-    }
-    sched.set_watchdog(options.watchdog);
+  Scheduler sched;
+  std::optional<FaultInjector> injector;
+  if (faulted) {
+    injector.emplace(*options.faults);
+    sched.set_fault_injector(&*injector);
+  }
+  sched.set_watchdog(options.watchdog);
 
-    // Physical-processor clocks for partitioned runs; processes hold raw
-    // pointers into this vector until the scheduler is destroyed.
-    std::vector<Clock> clocks(plan->clock_count);
-    std::vector<Channel*> chans;
-    chans.reserve(plan->channels.size());
-    for (const NetworkPlan::ChannelSpec& spec : plan->channels) {
-      chans.push_back(&sched.make_channel(spec.name, spec.capacity));
-    }
-    if (!instrumented) out_values.assign(plan->elems.size(), 0);
-    PlanBindings bindings;
-    bindings.plan = plan;
-    bindings.in_values = in_values.data();
-    bindings.out_values = instrumented ? nullptr : out_values.data();
-    bindings.store = &store;
-    bindings.trace = options.trace;
-    std::vector<Process*> procs;
-    procs.reserve(plan->procs.size());
-    for (std::uint32_t pi = 0; pi < plan->procs.size(); ++pi) {
-      procs.push_back(
-          &spawn_plan_proc(sched, pi, chans.data(), clocks.data(), bindings));
-    }
-    // Declare both endpoints of every channel so deadlock forensics can
-    // follow wait-for edges through processes that never touched them.
-    for (std::size_t c = 0; c < plan->channels.size(); ++c) {
-      const NetworkPlan::ChannelSpec& spec = plan->channels[c];
-      if (spec.sender >= 0) chans[c]->declare_sender(*procs[spec.sender]);
-      if (spec.receiver >= 0) {
-        chans[c]->declare_receiver(*procs[spec.receiver]);
-      }
-    }
-
-    sched.run();
-
-    metrics.scheduler_rounds = sched.round();
-    metrics.faults_injected = injector ? injector->injected() : 0;
-    metrics.makespan = sched.makespan();
-    metrics.total_transfers = sched.total_transfers();
-    for (const Process& p : sched.processes()) {
-      metrics.statements += p.statements;
-    }
-    channel_transfers.reserve(chans.size());
-    for (const Channel* chan : chans) {
-      channel_transfers.push_back(chan->transfers());
+  // Physical-processor clocks for partitioned runs; processes hold raw
+  // pointers into this vector until the scheduler is destroyed.
+  std::vector<Clock> clocks(plan->clock_count);
+  std::vector<Channel*> chans;
+  chans.reserve(plan->channels.size());
+  for (const NetworkPlan::ChannelSpec& spec : plan->channels) {
+    chans.push_back(&sched.make_channel(spec.name, spec.capacity));
+  }
+  if (!instrumented) out_values.assign(plan->elems.size(), 0);
+  PlanBindings bindings;
+  bindings.plan = plan;
+  bindings.in_values = in_values.data();
+  bindings.out_values = instrumented ? nullptr : out_values.data();
+  bindings.store = &store;
+  bindings.trace = options.trace;
+  std::vector<Process*> procs;
+  procs.reserve(plan->procs.size());
+  for (std::uint32_t pi = 0; pi < plan->procs.size(); ++pi) {
+    procs.push_back(
+        &spawn_plan_proc(sched, pi, chans.data(), clocks.data(), bindings));
+  }
+  // Declare both endpoints of every channel so deadlock forensics can
+  // follow wait-for edges through processes that never touched them.
+  for (std::size_t c = 0; c < plan->channels.size(); ++c) {
+    const NetworkPlan::ChannelSpec& spec = plan->channels[c];
+    if (spec.sender >= 0) chans[c]->declare_sender(*procs[spec.sender]);
+    if (spec.receiver >= 0) {
+      chans[c]->declare_receiver(*procs[spec.receiver]);
     }
   }
 
-  // Commit extracted values (fast/sharded paths only; the instrumented
+  sched.run();
+
+  metrics.scheduler_rounds = sched.round();
+  metrics.faults_injected = injector ? injector->injected() : 0;
+  metrics.makespan = sched.makespan();
+  metrics.total_transfers = sched.total_transfers();
+  for (const Process& p : sched.processes()) {
+    metrics.statements += p.statements;
+  }
+
+  // Commit extracted values (fast path only; the instrumented
   // path already wrote through).
   if (!out_values.empty()) {
     for (const NetworkPlan::ProcSpec& spec : plan->procs) {
@@ -403,7 +323,7 @@ RunMetrics execute(const CompiledProgram& program, const LoopNest& nest,
   }
   for (std::size_t c = 0; c < plan->channels.size(); ++c) {
     metrics.transfers_per_stream[plan->streams[plan->channels[c].stream]] +=
-        channel_transfers[c];
+        chans[c]->transfers();
   }
   return metrics;
 }

@@ -64,19 +64,15 @@ struct InstantiateOptions {
   /// blocked time (0 = disabled). Turns livelock/starvation into a
   /// structured Error(Runtime) with a forensic report.
   WatchdogConfig watchdog;
-  /// Parallel execution on the work-stealing substrate: number of worker
-  /// threads (0 or 1 = sequential). Results, makespan and transfer counts
-  /// are bit-identical to a sequential run (see runtime/shard.hpp for the
-  /// determinism argument). Requires pure rendezvous channels and no
-  /// partitioning or tracing; round budgets (`watchdog.max_rounds`),
-  /// cancel tokens, and stall/kill fault injection are supported, but
-  /// starvation bounds (`max_blocked_rounds`) and transfer-time faults
-  /// (delay/duplicate) are sequential-only — incompatible combinations
-  /// raise Error(Validation).
+  /// Most worker threads a bytecode batch may spread its SoA lanes over
+  /// (min(threads, batch) are used; 0 or 1 = the calling thread only).
+  /// Single-instance runs and the interpreter always execute the network
+  /// on the calling thread, so this never changes a result.
   unsigned threads = 0;
-  /// Thread pool for parallel runs; when null, each run spawns its own
-  /// threads. The service layer shares one pool across requests so warm
-  /// traffic skips per-run thread creation. Must outlive the call.
+  /// Thread pool the batch lanes borrow workers from; when null, a
+  /// multi-worker batch spawns its own threads. The service layer shares
+  /// one pool across requests so warm traffic skips per-run thread
+  /// creation. Must outlive the call.
   WorkerPool* worker_pool = nullptr;
   /// When non-null, plans are served from this two-level cache: the
   /// symbolic derivation is compiled once per (program, shape) into a

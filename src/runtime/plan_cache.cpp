@@ -49,8 +49,6 @@ std::unique_ptr<NetworkPlan> build_plan(const CompiledProgram& program,
 
   const IntVec ps_min = program.ps.min.evaluate(sizes);
   const IntVec ps_max = program.ps.max.evaluate(sizes);
-  plan.ps_min = ps_min;
-  plan.ps_max = ps_max;
 
   // Partitioning: map a process-space point to a dense shared-clock id
   // (-1 when unpartitioned: every process gets its own clock). Ids are
@@ -200,7 +198,6 @@ std::unique_ptr<NetworkPlan> build_plan(const CompiledProgram& program,
         spec.chan_in = in;
         spec.chan_out = out;
         spec.count = count;
-        spec.place = y;
         plan.procs.push_back(std::move(spec));
         plan.channels[in].receiver = id;
         plan.channels[out].sender = id;
@@ -249,7 +246,6 @@ std::unique_ptr<NetworkPlan> build_plan(const CompiledProgram& program,
         spec.count = count;
         spec.elem_begin = elem_begin;
         spec.elem_end = elem_end;
-        spec.place = a;
         plan.procs.push_back(std::move(spec));
         plan.channels[head].sender = id;
       }
@@ -267,7 +263,6 @@ std::unique_ptr<NetworkPlan> build_plan(const CompiledProgram& program,
         spec.count = count;
         spec.elem_begin = elem_begin;
         spec.elem_end = elem_end;
-        spec.place = points.back();
         plan.procs.push_back(std::move(spec));
         plan.channels[prev].receiver = id;
       }
@@ -289,7 +284,6 @@ std::unique_ptr<NetworkPlan> build_plan(const CompiledProgram& program,
         program.repeater.count.select(env)->evaluate(env).to_integer();
     spec.first_x = program.repeater.first.select(env)->evaluate(env);
     spec.coords = y;
-    spec.place = y;
     spec.role_begin = plan.roles.size();
     std::size_t moving = 0;
     for (std::uint32_t stream_id = 0; stream_id < program.streams.size();
@@ -356,13 +350,12 @@ std::size_t NetworkPlan::memory_bytes() const {
   for (const ChannelSpec& c : channels) n += bytes_of(c.name);
   n += procs.capacity() * sizeof(ProcSpec);
   for (const ProcSpec& p : procs) {
-    n += bytes_of(p.name) + bytes_of(p.first_x) + bytes_of(p.coords) +
-         bytes_of(p.place);
+    n += bytes_of(p.name) + bytes_of(p.first_x) + bytes_of(p.coords);
   }
   n += roles.capacity() * sizeof(RoleSpec);
   n += elems.capacity() * sizeof(IntVec);
   for (const IntVec& e : elems) n += bytes_of(e);
-  n += bytes_of(increment) + bytes_of(ps_min) + bytes_of(ps_max);
+  n += bytes_of(increment);
   n += graph.nodes.capacity() * sizeof(NetworkGraph::Node);
   for (const NetworkGraph::Node& node : graph.nodes) n += bytes_of(node.name);
   n += graph.edges.capacity() * sizeof(NetworkGraph::Edge);

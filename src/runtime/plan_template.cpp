@@ -272,8 +272,6 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
   IntVec ps_max(psdim);
   for (std::size_t i = 0; i < psdim; ++i) ps_min[i] = tmpl.ps_min[i].eval(v);
   for (std::size_t i = 0; i < psdim; ++i) ps_max[i] = tmpl.ps_max[i].eval(v);
-  plan.ps_min = ps_min;
-  plan.ps_max = ps_max;
 
   const PlanShape& shape = tmpl.shape;
 
@@ -474,7 +472,6 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
         spec.chan_in = in;
         spec.chan_out = out;
         spec.count = count;
-        spec.place = y;
         plan.procs.push_back(std::move(spec));
         plan.channels[in].receiver = id;
         plan.channels[out].sender = id;
@@ -526,7 +523,6 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
         spec.count = count;
         spec.elem_begin = elem_begin;
         spec.elem_end = elem_end;
-        spec.place = a;
         plan.procs.push_back(std::move(spec));
         plan.channels[head].sender = id;
       }
@@ -543,7 +539,6 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
         spec.count = count;
         spec.elem_begin = elem_begin;
         spec.elem_end = elem_end;
-        spec.place = tail;
         plan.procs.push_back(std::move(spec));
         plan.channels[prev].receiver = id;
         link_node(std::move(out_name), NetworkGraph::NodeKind::Output, prev);
@@ -571,7 +566,6 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
     }
     spec.first_x = std::move(first_x);
     spec.coords = y;
-    spec.place = y;
     spec.role_begin = plan.roles.size();
     std::size_t moving = 0;
     for (std::uint32_t stream_id = 0; stream_id < nstreams; ++stream_id) {

@@ -33,19 +33,13 @@
 // Both paths count rounds with the same batch boundaries, so a clean run
 // reports the same round count on either path.
 //
-// A third, opt-in mode runs the network on the work-stealing parallel
-// substrate (runtime/shard): one shared arena of processes and channels,
-// worker threads claiming ready processes from a bitmap with per-worker
-// queues, and every communication completing through preallocated atomic
-// mailboxes instead of the parked-op vectors. Logical clocks are
-// dataflow-driven, so parallel results and makespans are bit-identical
-// to sequential runs regardless of steal order.
+// Every run executes on the calling thread. Thread parallelism lives one
+// layer up, in the bytecode VM's SoA batch lanes (runtime/vm), which
+// spread independent instances of one network over a WorkerPool.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <coroutine>
-#include <cstdint>
 #include <deque>
 #include <map>
 #include <string>
@@ -60,7 +54,6 @@ namespace systolize {
 class Scheduler;
 class Channel;
 class FaultInjector;
-class ShardExec;  // runtime/shard — the work-stealing parallel substrate
 struct Process;
 
 /// One pending communication of a par set. Lives in the awaiter inside the
@@ -75,11 +68,6 @@ struct CommOp {
   Int issue_time = 0;  ///< owner's local time when the op was issued
   bool done = false;
   Int fault_delay = 0; ///< injected delay in rounds (0 = none)
-  /// Rendezvous completion time, recorded by the completing worker on the
-  /// parallel substrate; the last completer of the par set folds these
-  /// into the owner's clock (sequential paths advance the clock directly
-  /// and leave this untouched).
-  Int complete_time = 0;
 };
 
 /// Coroutine return object for process bodies.
@@ -132,13 +120,6 @@ struct Process {
   bool fault_stall_served = false;
   Int fault_kill_at = -1;        ///< die at this (1-based) statement
   bool killed = false;           ///< terminated by an injected kill
-  // --- work-stealing substrate state (runtime/shard) ---
-  // The sequential paths never touch these; the atomic makes Process
-  // non-movable, which the deque arena tolerates (elements never move).
-  std::uint32_t ws_pid = 0;       ///< dense plan process id
-  CommOp* ws_ops = nullptr;       ///< par set recorded at suspend
-  std::uint32_t ws_count = 0;
-  std::atomic<Int> ws_pending{0}; ///< undone ops of the current par set
 
   [[nodiscard]] Int time() const noexcept { return clock->time; }
   void advance_to(Int t) noexcept { clock->time = std::max(clock->time, t); }
@@ -233,11 +214,6 @@ class Channel {
   [[nodiscard]] Int transfers() const noexcept { return transfers_; }
   [[nodiscard]] Scheduler* scheduler() const noexcept { return sched_; }
 
-  /// Opaque routing tag for parallel runs (the plan channel id, used to
-  /// index the substrate's mailboxes); -1 outside parallel execution.
-  void set_shard_tag(Int tag) noexcept { shard_tag_ = tag; }
-  [[nodiscard]] Int shard_tag() const noexcept { return shard_tag_; }
-
   /// Attempt the op now; true if it completed without parking.
   bool try_complete(CommOp& op);
   /// Park the op until a partner arrives.
@@ -273,8 +249,6 @@ class Channel {
   void declare_receiver(Process& p) noexcept { known_receiver_ = &p; }
 
  private:
-  friend class ShardExec;  ///< folds substrate transfer counts back in
-
   struct Stamped {
     Value value;
     Int time;
@@ -315,7 +289,6 @@ class Channel {
   std::vector<CommOp*> senders_;
   std::vector<CommOp*> receivers_;
   Int transfers_ = 0;
-  Int shard_tag_ = -1;
   Process* known_sender_ = nullptr;
   Process* known_receiver_ = nullptr;
 };
@@ -378,13 +351,6 @@ class Scheduler {
   /// instrumented path and awaiters record blocked-on diagnostics.
   [[nodiscard]] bool instrumented() const noexcept { return instrumented_; }
 
-  /// Attach/detach the work-stealing executor driving this scheduler's
-  /// processes on the parallel substrate (runtime/shard). While attached,
-  /// awaiters route every communication through the executor's mailboxes.
-  void set_shard_exec(ShardExec* exec) noexcept { shard_ = exec; }
-  [[nodiscard]] ShardExec* shard_exec() const noexcept { return shard_; }
-  [[nodiscard]] bool sharded() const noexcept { return shard_ != nullptr; }
-
   /// Hold a parked-to-be op out of its channel for `delay` rounds
   /// (injected transfer delay); called from the comm awaiter.
   void defer_op(CommOp& op, Int delay);
@@ -417,8 +383,6 @@ class Scheduler {
   [[nodiscard]] Int makespan() const;
 
  private:
-  friend class ShardExec;
-
   /// Injector spawn hook + initial enqueue (out-of-line half of spawn).
   void finish_spawn(Process& ref);
   void refresh_mode() noexcept {
@@ -448,15 +412,9 @@ class Scheduler {
   std::multimap<Int, CommOp*> delayed_;   ///< release round -> held op
   FaultInjector* injector_ = nullptr;
   WatchdogConfig watchdog_;
-  ShardExec* shard_ = nullptr;
   bool instrumented_ = false;
   Int round_ = 0;
 };
-
-/// Route a suspending par set through the work-stealing executor (defined
-/// in runtime/shard.cpp; never called on sequential runs).
-void shard_suspend(ShardExec& exec, Process& proc, CommOp* ops,
-                   std::size_t count);
 
 // ---------------------------------------------------------------------
 // Inline fast path. Everything below is the per-communication machinery
@@ -572,11 +530,6 @@ inline bool CommAwaiter::await_ready() {
     op.done = false;
     op.fault_delay = 0;
   }
-  if (sched->sharded()) {
-    // Parallel runs complete every op through the substrate's mailboxes;
-    // the awaiter always suspends and hands the set to the executor.
-    return false;
-  }
   if (sched->injector() != nullptr) return ready_instrumented();
   bool all = true;
   for (std::size_t i = 0; i < count_; ++i) {
@@ -589,12 +542,7 @@ inline bool CommAwaiter::await_ready() {
 inline void CommAwaiter::await_suspend(std::coroutine_handle<> h) {
   (void)h;  // the scheduler resumes via the process handle
   Process& p = ctx_.process();
-  Scheduler* sched = p.sched;
-  if (sched->sharded()) {
-    shard_suspend(*sched->shard_exec(), p, ops_, count_);
-    return;
-  }
-  if (sched->instrumented()) {
+  if (p.sched->instrumented()) {
     suspend_instrumented();
     return;
   }

@@ -55,8 +55,6 @@ struct WatchdogConfig {
 /// blocked process waits on the counterpart of each channel it is parked
 /// on; the counterpart is whichever live process is parked on — or last
 /// used — the channel's other side.
-/// (The parallel substrate builds its own report over dense plan ids —
-/// see runtime/shard.cpp — with the same rendering.)
 [[nodiscard]] DeadlockReport build_deadlock_report(const Scheduler& sched,
                                                    std::string reason);
 

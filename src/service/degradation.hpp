@@ -1,12 +1,12 @@
 // Graceful degradation under memory pressure: a three-level state
 // machine that trades throughput for survival instead of dying.
 //
-//   Normal        — full plan-cache budget, sharded runs allowed.
+//   Normal        — full plan-cache budget, threaded batches allowed.
 //   ReducedCache  — the plan cache is shrunk to a small budget (templates
 //                   are never evicted, so warm requests degrade to one
 //                   integer expansion each, not to re-derivation).
-//   SingleThread  — additionally, sharded execution is refused: every run
-//                   is sequential, bounding peak memory to one network.
+//   SingleThread  — additionally, batch lanes stay on the request's own
+//                   thread: no pool workers and one VM per run.
 //
 // Escalation is driven by observed pressure (std::bad_alloc caught at the
 // executor boundary); recovery steps back one level after a run of
@@ -50,8 +50,8 @@ class Degradation {
 
   [[nodiscard]] DegradeLevel level() const;
 
-  /// Thread count a run may actually use: the request's ask at Normal
-  /// and ReducedCache, forced sequential (0) at SingleThread.
+  /// Lane workers a batched run may actually use: the request's ask at
+  /// Normal and ReducedCache, the calling thread only (0) at SingleThread.
   [[nodiscard]] unsigned effective_threads(unsigned requested) const;
 
   [[nodiscard]] std::size_t escalations() const;

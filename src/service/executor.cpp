@@ -262,16 +262,11 @@ Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
     iopt.faults = &plan;
   }
 
-  // Sharded eligibility: the work-stealing substrate carries round
-  // budgets, wall-clock deadlines and cancel tokens natively, so a
-  // threaded request keeps its server-default protections. Only fault
-  // injection forces the sequential instrumented path — requests may ask
-  // for sequential-only fault kinds (delay/duplicate) and the service
-  // promises every inject spec works.
+  // `threads` only bounds how many pool workers a bytecode batch spreads
+  // its lanes over; solo and interpreted runs stay on this thread.
   const unsigned threads =
       degradation_.effective_threads(static_cast<unsigned>(req.threads));
-  const bool sharded = threads > 1 && req.inject.empty();
-  if (sharded) {
+  if (threads > 1) {
     iopt.threads = threads;
     iopt.worker_pool = &pool_;
   }
@@ -411,14 +406,6 @@ Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
 
 void Executor::note_run_metrics(const RunMetrics& metrics) {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  if (!metrics.workers.empty()) {
-    ++substrate_runs_;
-    for (const WorkerCounters& w : metrics.workers) {
-      substrate_steals_ += w.steals;
-      substrate_tasks_ += w.tasks;
-      substrate_idle_ns_ += w.idle_ns;
-    }
-  }
   if (metrics.backend == "bytecode") {
     ++bytecode_runs_;
     bytecode_instances_ += metrics.batch;
@@ -671,14 +658,10 @@ std::string Executor::stats_json() const {
        << ",\"timeouts\":" << timeouts_
        << ",\"compile_cache\":{\"hits\":" << compile_cache_hits_
        << ",\"misses\":" << compile_cache_misses_ << '}'
-       << ",\"substrate\":{\"runs\":" << substrate_runs_
-       << ",\"steals\":" << substrate_steals_
-       << ",\"tasks\":" << substrate_tasks_
-       << ",\"idle_ns\":" << substrate_idle_ns_
-       << ",\"pool_threads\":" << pool_.spawned() << '}'
        << ",\"bytecode\":{\"runs\":" << bytecode_runs_
        << ",\"batched_instances\":" << bytecode_instances_
        << ",\"max_batch\":" << max_batch_
+       << ",\"pool_threads\":" << pool_.spawned()
        << ",\"coalesced_groups\":" << coalesced_groups_
        << ",\"coalesced_requests\":" << coalesced_requests_ << '}';
   }

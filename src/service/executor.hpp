@@ -146,14 +146,15 @@ class Executor {
   [[nodiscard]] Response handle_verify(const Request& req);
   [[nodiscard]] Response handle_analyze(const Request& req);
   void count_outcome(const Response& r);
-  /// Accumulate substrate and bytecode-backend counters off a run.
+  /// Accumulate bytecode-backend counters off a run.
   void note_run_metrics(const RunMetrics& metrics);
 
   const ExecutorConfig config_;
   PlanCache plan_cache_;
   Degradation degradation_;
-  /// Shared across requests: parallel runs borrow their extra workers
-  /// here instead of spawning threads per run (warm-serve latency).
+  /// Shared across requests: threaded batches borrow their extra lane
+  /// workers here instead of spawning threads per run (warm-serve
+  /// latency).
   WorkerPool pool_;
   const RequestQueue* queue_ = nullptr;
 
@@ -169,11 +170,6 @@ class Executor {
   std::size_t timeouts_ = 0;          ///< error responses with kind Timeout
   std::size_t compile_cache_hits_ = 0;
   std::size_t compile_cache_misses_ = 0;
-  /// Work-stealing substrate totals accumulated over sharded runs.
-  std::size_t substrate_runs_ = 0;
-  Int substrate_steals_ = 0;
-  Int substrate_tasks_ = 0;
-  Int substrate_idle_ns_ = 0;
   /// Bytecode backend and request-coalescing counters.
   std::size_t bytecode_runs_ = 0;       ///< dispatches the VM executed
   std::size_t bytecode_instances_ = 0;  ///< SoA lanes across those runs

@@ -15,7 +15,8 @@
 //   capacity         channel slack (default 0 = rendezvous)
 //   partition        processors per PS dimension (default 0 = off)
 //   merge_buffers    realize internal buffers as channel capacity
-//   threads          requested shard workers (degradation may ignore)
+//   threads          most workers a batch spreads its lanes over
+//                    (degradation may ignore; solo runs ignore it)
 //   verify           run op: differential-check against the sequential
 //                    baseline (the CLI's "verify: OK")
 //   inject           fault plan, FaultPlan::parse syntax

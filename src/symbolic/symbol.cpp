@@ -15,7 +15,11 @@ Symbol coord_symbol(std::string name) {
 Symbol canonical_coord(std::size_t i) {
   if (i == 0) return coord_symbol("col");
   if (i == 1) return coord_symbol("row");
-  return coord_symbol("y" + std::to_string(i));
+  // Append to a named string: GCC 12 at -O3 flags the equivalent
+  // `"y" + std::to_string(i)` with a false -Wrestrict.
+  std::string name = "y";
+  name += std::to_string(i);
+  return coord_symbol(std::move(name));
 }
 
 std::ostream& operator<<(std::ostream& os, const Symbol& s) {

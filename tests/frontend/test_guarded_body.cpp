@@ -154,7 +154,6 @@ TEST(GuardedBody, ShippedBandedMatmulDifferentialAcrossBackends) {
       });
   IndexedStore fast = expected;
   IndexedStore inst = expected;
-  IndexedStore sharded = expected;
   IndexedStore byte = expected;
   run_sequential(d.nest, sizes, expected);
 
@@ -162,16 +161,12 @@ TEST(GuardedBody, ShippedBandedMatmulDifferentialAcrossBackends) {
   InstantiateOptions wd;
   wd.watchdog.max_rounds = Int{1} << 40;
   (void)execute(prog, d.nest, sizes, inst, wd);
-  InstantiateOptions par;
-  par.threads = 2;
-  (void)execute(prog, d.nest, sizes, sharded, par);
   InstantiateOptions bc;
   bc.backend = Backend::Bytecode;
   (void)execute(prog, d.nest, sizes, byte, bc);
 
   EXPECT_EQ(fast.elements("c"), expected.elements("c"));
   EXPECT_EQ(inst.elements("c"), expected.elements("c"));
-  EXPECT_EQ(sharded.elements("c"), expected.elements("c"));
   EXPECT_EQ(byte.elements("c"), expected.elements("c"));
 }
 

@@ -12,6 +12,7 @@
 #include "baseline/sequential.hpp"
 #include "designs/catalog.hpp"
 #include "runtime/instantiate.hpp"
+#include "runtime/worker_pool.hpp"
 #include "scheme/compiler.hpp"
 
 namespace systolize {
@@ -341,6 +342,61 @@ TEST(BytecodeCache, ShrinkingTheBudgetEvictsLoweredPrograms) {
   (void)execute(prog, design.nest, sizes, fresh, no_cache);
   EXPECT_FALSE(relowered.bytecode_reused);
   expect_same_stores(design, store, fresh, "relowered");
+}
+
+// --- WorkerPool under batch lanes (also the TSan stage's target) --------
+
+/// Run `kBatch` seeded lanes of matmul2 at n through the VM with `threads`
+/// lane workers borrowed from `pool`, and check every lane and the shared
+/// schedule against a single-threaded batch of the same lanes.
+void expect_pooled_batch_matches(WorkerPool& pool, unsigned threads, Int n,
+                                 const std::string& what) {
+  constexpr std::size_t kBatch = 8;
+  Design design = design_by_name("matmul2");
+  CompiledProgram prog = compile(design.nest, design.spec);
+  Env sizes = sizes_for(design, n, n);
+  std::vector<IndexedStore> seq_lanes;
+  std::vector<IndexedStore> par_lanes;
+  for (std::size_t l = 0; l < kBatch; ++l) {
+    seq_lanes.push_back(seeded_lane(design, sizes, static_cast<Int>(l)));
+    par_lanes.push_back(seq_lanes.back());
+  }
+  RunMetrics seq = execute_batch(prog, design.nest, sizes, seq_lanes.data(),
+                                 kBatch, bytecode_opt());
+  InstantiateOptions opt = bytecode_opt();
+  opt.threads = threads;
+  opt.worker_pool = &pool;
+  RunMetrics par = execute_batch(prog, design.nest, sizes, par_lanes.data(),
+                                 kBatch, opt);
+  for (std::size_t l = 0; l < kBatch; ++l) {
+    expect_same_stores(design, seq_lanes[l], par_lanes[l],
+                       what + " lane " + std::to_string(l));
+  }
+  EXPECT_EQ(seq.makespan, par.makespan) << what;
+  EXPECT_EQ(seq.total_transfers, par.total_transfers) << what;
+  EXPECT_EQ(seq.statements, par.statements) << what;
+  EXPECT_EQ(seq.scheduler_rounds, par.scheduler_rounds) << what;
+  EXPECT_EQ(seq.transfers_per_stream, par.transfers_per_stream) << what;
+}
+
+TEST(BatchPool, WorkerPoolIsReusedAcrossRuns) {
+  WorkerPool pool(4);
+  for (int rep = 0; rep < 6; ++rep) {
+    expect_pooled_batch_matches(pool, 4, 4, "rep " + std::to_string(rep));
+  }
+  // The batch borrows its extra lane workers from the pool; the caller is
+  // worker 0, so no more than capacity() threads are ever spawned.
+  EXPECT_GT(pool.spawned(), 0u);
+  EXPECT_LE(pool.spawned(), pool.capacity());
+}
+
+TEST(BatchPool, PoolSmallerThanRequestStillCompletes) {
+  // A one-thread pool hands an 8-worker request at most one helper; lane
+  // chunks are claimed off a shared counter, so the caller and that
+  // helper still run every chunk and the answer is unchanged.
+  WorkerPool pool(1);
+  expect_pooled_batch_matches(pool, 8, 3, "starved-pool");
+  EXPECT_EQ(pool.spawned(), 1u);
 }
 
 }  // namespace

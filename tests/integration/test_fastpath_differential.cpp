@@ -1,10 +1,9 @@
-// Differential suite for the execution engine's three paths: the
-// zero-overhead fast path (no faults, no watchdog), the instrumented
-// path (any fault/watchdog attachment forces it), and the sharded
-// parallel path (--threads). All three must produce bit-identical
-// results, makespans and transfer counts; fast and instrumented must
-// also agree on scheduler rounds (same batch boundaries), while sharded
-// rounds are a max over shards and deliberately excluded.
+// Differential suite for the interpreter's two paths: the zero-overhead
+// fast path (no faults, no watchdog) and the instrumented path (any
+// fault/watchdog attachment forces it). Both must produce bit-identical
+// results, makespans, transfer counts and scheduler rounds (same batch
+// boundaries). A solo run asking for threads stays on the calling thread
+// and is the sequential fast path exactly.
 #include <gtest/gtest.h>
 
 #include "baseline/sequential.hpp"
@@ -104,30 +103,6 @@ TEST_P(FastPathDifferential, FastAndInstrumentedAgreeOnVariants) {
   }
 }
 
-TEST_P(FastPathDifferential, ShardedRunIsBitIdenticalToSequential) {
-  Design design = design_by_name(GetParam());
-  CompiledProgram prog = compile(design.nest, design.spec);
-  for (Int n : {2, 5}) {
-    Env sizes = sizes_for(design, n, std::max<Int>(1, n - 1));
-    IndexedStore seq_store = seeded(design, sizes);
-    IndexedStore par_store = seq_store;
-    RunMetrics seq = execute(prog, design.nest, sizes, seq_store, {});
-    InstantiateOptions par_opt;
-    par_opt.threads = 4;
-    RunMetrics par = execute(prog, design.nest, sizes, par_store, par_opt);
-    expect_same_stores(design, seq_store, par_store, GetParam());
-    EXPECT_EQ(seq.makespan, par.makespan) << GetParam() << " n=" << n;
-    EXPECT_EQ(seq.total_transfers, par.total_transfers)
-        << GetParam() << " n=" << n;
-    EXPECT_EQ(seq.statements, par.statements) << GetParam() << " n=" << n;
-    EXPECT_EQ(seq.transfers_per_stream, par.transfers_per_stream)
-        << GetParam() << " n=" << n;
-    EXPECT_GE(par.shards, 1u) << GetParam();
-    // scheduler_rounds is a max over shards on the parallel path, not
-    // schedule-invariant: deliberately not compared.
-  }
-}
-
 TEST_P(FastPathDifferential, CachedPlanReproducesFreshPlanExactly) {
   Design design = design_by_name(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
@@ -161,16 +136,11 @@ TEST_P(FastPathDifferential, AllPathsMatchSequentialGroundTruth) {
   IndexedStore expected = seeded(design, sizes);
   IndexedStore fast_store = expected;
   IndexedStore inst_store = expected;
-  IndexedStore par_store = expected;
   run_sequential(design.nest, sizes, expected);
   (void)execute(prog, design.nest, sizes, fast_store, {});
   (void)execute(prog, design.nest, sizes, inst_store, instrumented());
-  InstantiateOptions par_opt;
-  par_opt.threads = 3;
-  (void)execute(prog, design.nest, sizes, par_store, par_opt);
   expect_same_stores(design, fast_store, expected, "fast-vs-seq");
   expect_same_stores(design, inst_store, expected, "inst-vs-seq");
-  expect_same_stores(design, par_store, expected, "par-vs-seq");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDesigns, FastPathDifferential,
@@ -180,65 +150,21 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, FastPathDifferential,
                                            "convolution", "correlation",
                                            "fir_bank", "closure"));
 
-TEST(ShardedValidation, RejectsIncompatibleAttachments) {
-  Design design = design_by_name("polyprod1");
-  CompiledProgram prog = compile(design.nest, design.spec);
-  Env sizes{{"n", Rational(3)}};
-  {
-    // Round budgets are legal on the work-stealing substrate (bounded as
-    // total resumptions); a generous budget must not perturb the run.
-    IndexedStore store = seeded(design, sizes);
-    InstantiateOptions opt;
-    opt.threads = 2;
-    opt.watchdog.max_rounds = 100000;
-    EXPECT_NO_THROW((void)execute(prog, design.nest, sizes, store, opt));
-  }
-  {
-    // Starvation bounds are a sequential-round notion: still rejected.
-    IndexedStore store = seeded(design, sizes);
-    InstantiateOptions opt;
-    opt.threads = 2;
-    opt.watchdog.max_blocked_rounds = 50;
-    EXPECT_THROW((void)execute(prog, design.nest, sizes, store, opt), Error);
-  }
-  {
-    // Transfer-time faults consume PRNG state in schedule order: rejected.
-    IndexedStore store = seeded(design, sizes);
-    InstantiateOptions opt;
-    opt.threads = 2;
-    FaultPlan faults = FaultPlan::parse("seed=1;delay=0.5:3");
-    opt.faults = &faults;
-    EXPECT_THROW((void)execute(prog, design.nest, sizes, store, opt), Error);
-  }
-  {
-    IndexedStore store = seeded(design, sizes);
-    InstantiateOptions opt;
-    opt.threads = 2;
-    opt.channel_capacity = 2;
-    EXPECT_THROW((void)execute(prog, design.nest, sizes, store, opt), Error);
-  }
-  {
-    IndexedStore store = seeded(design, sizes);
-    InstantiateOptions opt;
-    opt.threads = 2;
-    opt.partition_grid = IntVec(std::vector<Int>{2});
-    EXPECT_THROW((void)execute(prog, design.nest, sizes, store, opt), Error);
-  }
-}
-
-TEST(ShardedValidation, SingleThreadIsJustTheFastPath) {
+// `threads` bounds batch-lane workers only: a solo run is the sequential
+// fast path, metrics and all, whatever it asks for.
+TEST(SoloRun, ThreadsMatchSequentialStoreAndMetrics) {
   Design design = design_by_name("matmul1");
   CompiledProgram prog = compile(design.nest, design.spec);
   Env sizes{{"n", Rational(3)}};
   IndexedStore seq_store = seeded(design, sizes);
-  IndexedStore one_store = seq_store;
+  IndexedStore solo_store = seq_store;
   RunMetrics seq = execute(prog, design.nest, sizes, seq_store, {});
   InstantiateOptions opt;
-  opt.threads = 1;
-  RunMetrics one = execute(prog, design.nest, sizes, one_store, opt);
-  expect_same_stores(design, seq_store, one_store, "threads=1");
-  EXPECT_EQ(seq.makespan, one.makespan);
-  EXPECT_EQ(one.shards, 0u);
+  opt.threads = 4;
+  RunMetrics solo = execute(prog, design.nest, sizes, solo_store, opt);
+  expect_same_stores(design, seq_store, solo_store, "threads=4");
+  EXPECT_EQ(seq.to_json(), solo.to_json());
+  EXPECT_EQ(solo.backend, "interp");
 }
 
 }  // namespace

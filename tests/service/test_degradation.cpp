@@ -24,11 +24,11 @@ TEST(Degradation, PressureEscalatesAndShrinksTheCache) {
   d.on_pressure();
   EXPECT_EQ(d.level(), DegradeLevel::ReducedCache);
   EXPECT_EQ(cache.byte_budget(), std::size_t{1} << 10);
-  EXPECT_EQ(d.effective_threads(4), 4u);  // still sharded at level 1
+  EXPECT_EQ(d.effective_threads(4), 4u);  // lane workers kept at level 1
 
   d.on_pressure();
   EXPECT_EQ(d.level(), DegradeLevel::SingleThread);
-  EXPECT_EQ(d.effective_threads(4), 0u);  // forced sequential
+  EXPECT_EQ(d.effective_threads(4), 0u);  // lanes on the calling thread
 
   d.on_pressure();  // already at the floor: stays there
   EXPECT_EQ(d.level(), DegradeLevel::SingleThread);

@@ -48,27 +48,7 @@ TEST(Executor, PingAndStatsAlwaysSucceed) {
   EXPECT_NE(doc.get("plan_cache"), nullptr);
   EXPECT_NE(doc.get("degradation"), nullptr);
   EXPECT_NE(doc.get("requests"), nullptr);
-  EXPECT_NE(doc.get("substrate"), nullptr);
-}
-
-TEST(Executor, ShardedRunSurfacesSubstrateCountersInStats) {
-  Executor ex(fast_config());
-  Request req = run_req("matmul2");
-  req.threads = 4;
-  Response r = ex.handle(req);
-  ASSERT_EQ(r.status, "ok") << r.message;
-  // The run's per-worker counters ride the metrics payload...
-  Json metrics = Json::parse(r.metrics_json);
-  EXPECT_NE(metrics.get("workers"), nullptr) << r.metrics_json;
-  // ...and accumulate into the daemon-wide substrate totals.
-  Request stats;
-  stats.op = "stats";
-  Response sr = ex.handle(stats);
-  Json doc = Json::parse(sr.data_json);
-  const Json* substrate = doc.get("substrate");
-  ASSERT_NE(substrate, nullptr) << sr.data_json;
-  EXPECT_EQ(substrate->int_or("runs", 0), 1);
-  EXPECT_GT(substrate->int_or("tasks", 0), 0);
+  EXPECT_NE(doc.get("bytecode"), nullptr);
 }
 
 TEST(Executor, RunSucceedsWithMetricsAndVerify) {

@@ -3,7 +3,7 @@
 # end-to-end runtime benchmarks into BENCH_runtime.json at the repo root.
 # Each invocation appends one run entry {label, commit, date, benchmarks}
 # so the file accumulates a perf trajectory across PRs. The suite covers
-# the end-to-end pipeline (BM_EndToEnd_*), the raw substrate
+# the end-to-end pipeline (BM_EndToEnd_*), the raw sequential scheduler
 # (BM_SubstrateRelayChain), and plan construction (BM_PlanBuild_* vs
 # BM_PlanExpand_*, plus the BM_ColdSizeSweep_* serving-loop pair — see
 # docs/performance.md "Plan templates").
@@ -88,10 +88,10 @@ label="${1:-$(git -C "${repo}" rev-parse --short HEAD)}"
 shift || true
 
 build="${repo}/build-bench"
-# -DSYSTOLIZE_WERROR=OFF: GCC 12 emits a -Wrestrict false positive in
-# symbolic/symbol.cpp under -O3 that would otherwise fail the build.
+# Warnings are errors here too (set explicitly so a cache left by an
+# older configuration cannot switch them off).
 cmake -B "${build}" -S "${repo}" \
-  -DCMAKE_BUILD_TYPE=Release -DSYSTOLIZE_WERROR:BOOL=OFF
+  -DCMAKE_BUILD_TYPE=Release -DSYSTOLIZE_WERROR:BOOL=ON
 cmake --build "${build}" -j "${jobs}" --target bench_endtoend
 
 raw="$(mktemp)"

@@ -139,9 +139,10 @@ echo "=== fuzz replay: checked-in corpus must stay clean ==="
   --corpus-dir="${repo}/designs/fuzz-corpus"
 
 echo "=== fuzz smoke under ASan/UBSan ==="
-# The generator's samples reach every substrate (parked-op scheduler,
-# work-stealing shards, bytecode VM) with hostile shapes the curated
-# suites never produce — a cheap way to hand the sanitizers fresh input.
+# The generator's samples reach every engine (parked-op scheduler, its
+# instrumented path, bytecode VM solo and batched) with hostile shapes the
+# curated suites never produce — a cheap way to hand the sanitizers fresh
+# input.
 asan_fuzz_log="$(mktemp /tmp/systolize-ci-fuzz-asan-log-XXXXXX)"
 "${repo}/build-asan/tools/systolize" fuzz --seed=1 --count=40 \
   --corpus-dir="$(mktemp -d /tmp/systolize-ci-fuzz-asan-XXXXXX)" \
@@ -152,7 +153,7 @@ grep -q ' 0 disagreement(s)' "${asan_fuzz_log}" || {
   exit 1; }
 rm -f "${asan_fuzz_log}"
 
-echo "=== bench smoke: substrate relay chain ==="
+echo "=== bench smoke: sequential scheduler relay chain ==="
 "${repo}/build/bench/bench_endtoend" \
   --benchmark_filter='BM_SubstrateRelayChain/16' --benchmark_min_time=0.05
 
@@ -164,15 +165,15 @@ echo "=== cross-size differential: expand_template == build_plan ==="
 ctest --test-dir "${repo}/build" --output-on-failure \
   -R 'CrossSizeDifferential|PlanTemplate|PlanCache'
 
-echo "=== thread sanitizer: plan cache + work-stealing substrate ==="
+echo "=== thread sanitizer: plan cache + batch lanes on the worker pool ==="
 cmake -B "${repo}/build-tsan" -S "${repo}" -DSYSTOLIZE_SANITIZE=thread
 cmake --build "${repo}/build-tsan" -j "${jobs}" --target test_runtime \
-  test_service
+  test_service test_integration
 "${repo}/build-tsan/tests/test_runtime" --gtest_filter='PlanCache.*'
-# The WorkSteal hammer repeats sharded runs across thread counts — under
-# TSan it exercises every mailbox/bitmap/hint-queue race the substrate
-# claims to have closed (runtime/shard.hpp's determinism argument).
-"${repo}/build-tsan/tests/test_runtime" --gtest_filter='WorkSteal.*'
+# The BatchPool tests split VM batch lanes over a reused WorkerPool and
+# over a pool smaller than the request — under TSan they exercise the
+# pool's queue/cancel hand-off and the lanes' shared output buffer.
+"${repo}/build-tsan/tests/test_integration" --gtest_filter='BatchPool.*'
 
 echo "=== thread sanitizer: coalesced batched serve ==="
 # The coalescing path under TSan: pop_group's backlog sweep, the shared
@@ -184,8 +185,8 @@ echo "=== thread sanitizer: coalesced batched serve ==="
   --gtest_filter='Coalescing.*:Executor.HandleGroup*:Executor.Batched*:Server.CoalescingSoak*'
 
 echo "=== bench gate: relay chain must hold the post-PR2 numbers ==="
-# Pure-data regression gate over the recorded trajectory: the substrate
-# rewrite (PR7) must keep BM_SubstrateRelayChain within 10% of the best
+# Pure-data regression gate over the recorded trajectory: the sequential
+# scheduler's BM_SubstrateRelayChain must stay within 10% of the best
 # recorded numbers (post-PR2-fastpath), closing PR4's regression.
 "${repo}/tools/bench.sh" --compare post-PR2-fastpath PR7-worksteal 10 \
   'BM_SubstrateRelayChain'

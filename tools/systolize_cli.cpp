@@ -7,7 +7,9 @@
 //                    [--merge-buffers] [--partition=G] [--no-verify]
 //                    [--inject=PLAN] [--watchdog-rounds=N]
 //                    [--watchdog-blocked=N] [--deadlock-report]
-//                    [--plan-cache-bytes=N]
+//                    [--threads=N] [--plan-cache-bytes=N]
+//                    [--backend=interp|bytecode] [--batch=N]
+//                    [--format=text|json]
 //   systolize graph  <design | file.sa> [--n=N] [--m=M]     (Graphviz dot)
 //   systolize schedule <design | file.sa> [--n=N] [--m=M]   (space-time table)
 //   systolize verify <design | file.sa | all> [--n=N] [--m=M] [--capacity=K]
@@ -54,6 +56,7 @@
 #include "scheme/schedule.hpp"
 #include "service/client.hpp"
 #include "service/executor.hpp"
+#include "service/json.hpp"
 #include "service/server.hpp"
 
 namespace {
@@ -74,6 +77,7 @@ int usage() {
       "                   [--threads=N] [--plan-cache-bytes=N]\n"
       "                   [--round-budget=N] [--wall-timeout-ms=N]\n"
       "                   [--backend=interp|bytecode] [--batch=N]\n"
+      "                   [--format=text|json]\n"
       "  systolize graph  <design | file.sa> [--n=N] [--m=M]\n"
       "  systolize schedule <design | file.sa> [--n=N] [--m=M]\n"
       "  systolize verify <design | file.sa | all> [--n=N] [--m=M]\n"
@@ -88,8 +92,8 @@ int usage() {
       "                   [--format=text|json]\n"
       "  systolize fuzz   [--seed=S] [--count=N] [--no-shrink]\n"
       "                   [--corpus-dir=DIR] [--keep-rejects] [--replay]\n"
-      "                   [--mutate-rate=P] [--coeff-range=K] [--threads=N]\n"
-      "                   [--batch=N] [--format=text|json]\n"
+      "                   [--mutate-rate=P] [--coeff-range=K] [--batch=N]\n"
+      "                   [--format=text|json]\n"
       "  systolize serve  --socket=PATH [--workers=N] [--queue-depth=N]\n"
       "                   [--tenant-cap=N] [--round-budget=N]\n"
       "                   [--wall-timeout-ms=N] [--max-retries=N]\n"
@@ -130,9 +134,9 @@ int cmd_help() {
       "differential fuzzing (docs/static-analysis.md):\n"
       "  systolize fuzz samples random Appendix-A loop nests plus compatible\n"
       "  (step, place) designs and cross-checks the static verifier against\n"
-      "  every execution backend (interp fast path, instrumented, threaded\n"
-      "  work-stealing, bytecode solo and batched) and the sequential\n"
-      "  baseline. Exit 0 = the oracles agreed on every sample.\n"
+      "  every execution engine (interp fast path, instrumented, bytecode\n"
+      "  solo and batched) and the sequential baseline. Exit 0 = the\n"
+      "  oracles agreed on every sample.\n"
       "  --seed=S         campaign seed; sample #i is a pure function of\n"
       "                   (S, i), so any sample replays in isolation and the\n"
       "                   same seed always yields the same samples and\n"
@@ -189,7 +193,7 @@ struct Options {
   Int watchdog_rounds = 0;       ///< 0 = unbounded
   Int watchdog_blocked = 0;      ///< 0 = unbounded
   bool deadlock_report = false;  ///< print JSON forensics on stall
-  Int threads = 0;               ///< >1 = sharded parallel run
+  Int threads = 0;               ///< run: most workers for batch lanes
   std::string backend;           ///< "", "interp" or "bytecode"
   Int batch = 1;                 ///< problem instances per dispatch
   Int plan_cache_bytes = -1;     ///< >=0: attach a budgeted PlanCache
@@ -428,6 +432,31 @@ IndexedStore seeded_store(const Design& design, const Env& sizes, Int b) {
       });
 }
 
+/// First stream whose values in `got` differ from the sequential run of
+/// the loop nest over `expected` (which holds the same inputs and is
+/// overwritten with the baseline's result); empty when all streams match.
+std::string first_mismatch(const Design& design, const Env& sizes,
+                           const IndexedStore& got, IndexedStore& expected) {
+  run_sequential(design.nest, sizes, expected);
+  for (const Stream& s : design.nest.streams()) {
+    if (got.elements(s.name()) != expected.elements(s.name())) {
+      return s.name();
+    }
+  }
+  return {};
+}
+
+/// The `"verify":...` members of `run --format=json`: "ok", "skipped", or
+/// "failed" with the first mismatching instance and stream.
+std::string verify_json(bool verified, const std::string& mismatch,
+                        std::size_t instance) {
+  if (!verified) return "\"verify\":\"skipped\"";
+  if (mismatch.empty()) return "\"verify\":\"ok\"";
+  return "\"verify\":\"failed\",\"mismatch\":{\"instance\":" +
+         std::to_string(instance) +
+         ",\"stream\":" + service::json_quote(mismatch) + "}";
+}
+
 int cmd_run(const Design& design, const Options& opt) {
   CompiledProgram prog = compile(design.nest, design.spec);
   Env sizes = sizes_of(design, opt);
@@ -445,6 +474,11 @@ int cmd_run(const Design& design, const Options& opt) {
     std::cerr << "--batch needs a positive instance count\n";
     return 2;
   }
+  if (opt.format != "text" && opt.format != "json") {
+    std::cerr << "unknown format '" << opt.format << "'\n";
+    return 2;
+  }
+  const bool json = opt.format == "json";
   iopt.channel_capacity = opt.capacity;
   iopt.merge_internal_buffers = opt.merge_buffers;
   if (opt.partition > 0) {
@@ -455,7 +489,7 @@ int cmd_run(const Design& design, const Options& opt) {
   if (!opt.inject.empty()) {
     plan = FaultPlan::parse(opt.inject);
     iopt.faults = &plan;
-    std::cout << "inject: " << plan.to_string() << "\n";
+    if (!json) std::cout << "inject: " << plan.to_string() << "\n";
   }
   iopt.watchdog.max_rounds = opt.watchdog_rounds;
   iopt.watchdog.max_blocked_rounds = opt.watchdog_blocked;
@@ -478,6 +512,7 @@ int cmd_run(const Design& design, const Options& opt) {
                                   std::to_string(opt.wall_timeout_ms) +
                                   "ms exceeded";
   }
+  // --threads bounds the workers a batch spreads its VM lanes over.
   if (opt.threads > 0) iopt.threads = static_cast<unsigned>(opt.threads);
   // --plan-cache-bytes=N: route plan construction through the two-stage
   // template pipeline with an N-byte plan budget (small budgets keep the
@@ -490,94 +525,101 @@ int cmd_run(const Design& design, const Options& opt) {
   }
   iopt.verify_plan = opt.verify_plan;
 
-  if (opt.batch > 1) {
-    const std::size_t batch = static_cast<std::size_t>(opt.batch);
-    if (iopt.faults != nullptr) {
-      // Faults are per-instance by nature: replay each instance through
-      // the instrumented engine with its own derived fault seed, and
-      // report one verdict per instance instead of failing the batch.
-      int worst = 0;
-      for (std::size_t b = 0; b < batch; ++b) {
-        FaultPlan instance_plan = FaultPlan::parse(opt.inject);
-        instance_plan.set_seed(instance_plan.seed() + b);
-        InstantiateOptions per = iopt;
-        per.faults = &instance_plan;
-        IndexedStore bstore =
-            seeded_store(design, sizes, static_cast<Int>(b));
-        IndexedStore bexpected = bstore;
-        try {
-          RunMetrics m = execute(prog, design.nest, sizes, bstore, per);
-          std::string verdict = "ok";
-          if (opt.verify) {
-            run_sequential(design.nest, sizes, bexpected);
-            for (const Stream& s : design.nest.streams()) {
-              if (bstore.elements(s.name()) !=
-                  bexpected.elements(s.name())) {
-                verdict = "verify-failed stream " + s.name();
-                worst = std::max(worst, 1);
-              }
-            }
-          }
-          std::cout << "instance " << b << ": " << verdict
+  const std::size_t batch = static_cast<std::size_t>(opt.batch);
+  if (batch > 1 && iopt.faults != nullptr) {
+    // Faults are per-instance by nature: replay each instance through
+    // the instrumented engine with its own derived fault seed, and
+    // report one verdict per instance instead of failing the batch.
+    int worst = 0;
+    if (json) std::cout << "{\"instances\":[";
+    for (std::size_t b = 0; b < batch; ++b) {
+      FaultPlan instance_plan = FaultPlan::parse(opt.inject);
+      instance_plan.set_seed(instance_plan.seed() + b);
+      InstantiateOptions per = iopt;
+      per.faults = &instance_plan;
+      IndexedStore bstore = seeded_store(design, sizes, static_cast<Int>(b));
+      IndexedStore bexpected = bstore;
+      if (json) std::cout << (b == 0 ? "" : ",") << "{\"instance\":" << b;
+      try {
+        RunMetrics m = execute(prog, design.nest, sizes, bstore, per);
+        const std::string bad =
+            opt.verify ? first_mismatch(design, sizes, bstore, bexpected)
+                       : std::string();
+        if (!bad.empty()) worst = std::max(worst, 1);
+        if (json) {
+          std::cout << ",\"metrics\":" << m.to_json() << ','
+                    << verify_json(opt.verify, bad, b) << '}';
+        } else {
+          std::cout << "instance " << b << ": "
+                    << (bad.empty() ? "ok" : "verify-failed stream " + bad)
                     << " faults=" << m.faults_injected
                     << " makespan=" << m.makespan << "\n";
-        } catch (const Error& e) {
-          const std::string what = e.what();
-          std::cout << "instance " << b << ": error ["
-                    << error_kind_name(e.kind()) << "] "
-                    << what.substr(0, what.find('\n')) << "\n";
-          worst = std::max(worst, e.kind() == ErrorKind::Timeout ? 3 : 1);
         }
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        const std::string line = what.substr(0, what.find('\n'));
+        if (json) {
+          std::cout << ",\"error\":{\"kind\":"
+                    << service::json_quote(error_kind_name(e.kind()))
+                    << ",\"message\":" << service::json_quote(line) << "}}";
+        } else {
+          std::cout << "instance " << b << ": error ["
+                    << error_kind_name(e.kind()) << "] " << line << "\n";
+        }
+        worst = std::max(worst, e.kind() == ErrorKind::Timeout ? 3 : 1);
       }
-      deadline.disarm();
-      return worst;
     }
+    if (json) std::cout << "]}\n";
+    deadline.disarm();
+    return worst;
+  }
+
+  RunMetrics metrics;
+  std::string bad;  // first mismatching stream, if any
+  std::size_t bad_instance = 0;
+  if (batch > 1) {
     std::vector<IndexedStore> stores;
     stores.reserve(batch);
     for (std::size_t b = 0; b < batch; ++b) {
       stores.push_back(seeded_store(design, sizes, static_cast<Int>(b)));
     }
-    RunMetrics metrics =
+    metrics =
         execute_batch(prog, design.nest, sizes, stores.data(), batch, iopt);
     deadline.disarm();
-    std::cout << metrics.to_string() << "\n";
-    if (opt.verify) {
-      for (std::size_t b = 0; b < batch; ++b) {
-        IndexedStore bexpected =
-            seeded_store(design, sizes, static_cast<Int>(b));
-        run_sequential(design.nest, sizes, bexpected);
-        for (const Stream& s : design.nest.streams()) {
-          if (stores[b].elements(s.name()) !=
-              bexpected.elements(s.name())) {
-            std::cout << "VERIFY FAILED for instance " << b << " stream "
-                      << s.name() << "\n";
-            return 1;
-          }
-        }
-      }
-      std::cout << "verify: OK (all " << batch
-                << " instances match sequential execution)\n";
+    for (std::size_t b = 0; opt.verify && bad.empty() && b < batch; ++b) {
+      IndexedStore bexpected =
+          seeded_store(design, sizes, static_cast<Int>(b));
+      bad = first_mismatch(design, sizes, stores[b], bexpected);
+      bad_instance = b;
     }
-    return 0;
+  } else {
+    metrics = execute(prog, design.nest, sizes, store, iopt);
+    deadline.disarm();
+    if (opt.verify) bad = first_mismatch(design, sizes, store, expected);
   }
 
-  RunMetrics metrics = execute(prog, design.nest, sizes, store, iopt);
-  deadline.disarm();
+  if (json) {
+    std::cout << "{\"metrics\":" << metrics.to_json() << ','
+              << verify_json(opt.verify, bad, bad_instance) << "}\n";
+    return bad.empty() ? 0 : 1;
+  }
   std::cout << metrics.to_string() << "\n";
   if (opt.partition > 0) {
     std::cout << "physical processors: " << metrics.physical_processors
               << "\n";
   }
-
+  if (!bad.empty()) {
+    std::cout << "VERIFY FAILED for "
+              << (batch > 1 ? "instance " + std::to_string(bad_instance) + " "
+                            : std::string())
+              << "stream " << bad << "\n";
+    return 1;
+  }
   if (opt.verify) {
-    run_sequential(design.nest, sizes, expected);
-    for (const Stream& s : design.nest.streams()) {
-      if (store.elements(s.name()) != expected.elements(s.name())) {
-        std::cout << "VERIFY FAILED for stream " << s.name() << "\n";
-        return 1;
-      }
-    }
-    std::cout << "verify: OK (matches sequential execution)\n";
+    std::cout << (batch > 1 ? "verify: OK (all " + std::to_string(batch) +
+                                  " instances match sequential execution)"
+                            : "verify: OK (matches sequential execution)")
+              << "\n";
   }
   return 0;
 }
@@ -866,8 +908,6 @@ int cmd_serve(const Options& opt) {
 
 int cmd_fuzz(const Options& opt) {
   fuzz::OracleOptions oracle;
-  oracle.threads =
-      opt.threads > 0 ? static_cast<unsigned>(opt.threads) : 2u;
   oracle.batch = opt.batch > 1 ? static_cast<std::size_t>(opt.batch) : 3u;
 
   if (opt.replay) {
