@@ -210,13 +210,8 @@ CostMetrics cost_metrics_of(const CompiledProgram& program,
 CostMetrics analyze_cost_at(const CompiledProgram& program,
                             const LoopNest& nest, const Env& sizes,
                             const PlanShape& shape, PlanCache* cache) {
-  std::shared_ptr<const NetworkPlan> plan;
-  if (cache != nullptr) {
-    plan = cache->lookup_or_build(program, nest, sizes, shape);
-  } else {
-    plan = build_plan(program, nest, sizes, shape);
-  }
-  return cost_metrics_of(program, nest, sizes, *plan);
+  return cost_metrics_of(program, nest, sizes,
+                         *plan_for(program, nest, sizes, shape, cache));
 }
 
 CostReport analyze_cost(const CompiledProgram& program, const LoopNest& nest,

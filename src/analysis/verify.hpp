@@ -63,12 +63,21 @@ void verify_loading_cover_into(VerifyReport& report,
                                const CompiledProgram& program,
                                const LoopNest& nest, const Env& sizes);
 
-/// The full pipeline on a compiled design: program-level checks, then —
-/// when those leave no errors — intern the plan at `sizes` and run the
-/// plan-level checks. No scheduler is ever constructed.
+/// The full pipeline on a compiled design: program-level checks; when
+/// those leave no errors, the loading-cover check at `sizes`; when that
+/// passes too, intern the plan at `sizes` and `shape` (through `cache`
+/// when given) and run the plan-level checks. A plan that cannot be
+/// interned becomes a `plan.error` finding. No scheduler is ever
+/// constructed. `systolize verify` and the serve `verify` op run this
+/// after the spec-level checks.
 [[nodiscard]] VerifyReport verify_design(const CompiledProgram& program,
                                          const LoopNest& nest,
                                          const Env& sizes,
-                                         const PlanShape& shape = {});
+                                         const PlanShape& shape = {},
+                                         PlanCache* cache = nullptr);
+void verify_design_into(VerifyReport& report, const CompiledProgram& program,
+                        const LoopNest& nest, const Env& sizes,
+                        const PlanShape& shape = {},
+                        PlanCache* cache = nullptr);
 
 }  // namespace systolize

@@ -276,22 +276,28 @@ VerifyReport verify_program(const CompiledProgram& prog,
   return report;
 }
 
-VerifyReport verify_design(const CompiledProgram& prog, const LoopNest& nest,
-                           const Env& sizes, const PlanShape& shape) {
-  VerifyReport report;
-  report.design = prog.name;
+void verify_design_into(VerifyReport& report, const CompiledProgram& prog,
+                        const LoopNest& nest, const Env& sizes,
+                        const PlanShape& shape, PlanCache* cache) {
   verify_program_into(report, prog, nest);
-  if (report.errors() != 0) return report;  // plan would inherit the rot
+  if (report.errors() != 0) return;  // plan would inherit the rot
   verify_loading_cover_into(report, prog, nest, sizes);
-  if (report.errors() != 0) return report;
+  if (report.errors() != 0) return;
   try {
-    std::unique_ptr<NetworkPlan> plan = build_plan(prog, nest, sizes, shape);
-    verify_plan_into(report, *plan);
+    verify_plan_into(report, *plan_for(prog, nest, sizes, shape, cache));
   } catch (const Error& e) {
     report.add("plan.error", Severity::Error, "network plan",
                std::string("interning the plan failed: ") + e.what(),
                e.diagnostic().empty() ? "" : e.diagnostic());
   }
+}
+
+VerifyReport verify_design(const CompiledProgram& prog, const LoopNest& nest,
+                           const Env& sizes, const PlanShape& shape,
+                           PlanCache* cache) {
+  VerifyReport report;
+  report.design = prog.name;
+  verify_design_into(report, prog, nest, sizes, shape, cache);
   return report;
 }
 

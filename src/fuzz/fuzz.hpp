@@ -3,7 +3,7 @@
 // (step, place) designs sampled from the enumerate.cpp pruning pipeline,
 // driven through the full differential stack —
 //
-//   parse -> compile -> static verify -> plan/template expand -> run on
+//   parse -> compile -> static verify -> template expand -> run on
 //   every eligible engine (interp fast path, instrumented scheduler,
 //   bytecode VM solo and --batch=N SoA lanes)
 //

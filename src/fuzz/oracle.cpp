@@ -221,13 +221,6 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
                    what + " rounds");
     };
 
-    // Plan-template expansion (compile_template + expand_template) instead
-    // of the direct build_plan() path.
-    PlanCache cache;
-    InstantiateOptions templ;
-    templ.plan_cache = &cache;
-    check_engine("template", templ);
-
     // The instrumented scheduler (a positive round budget forces it).
     InstantiateOptions instr;
     instr.watchdog.max_rounds = Int{1} << 40;

@@ -40,28 +40,19 @@ std::string bytecode_blocker(const InstantiateOptions& options) {
   return {};
 }
 
-// The bytecode path shared by execute(backend=Bytecode) and
-// execute_batch: expand (or fetch) the plan, lower (or fetch) the
-// program, run all instances as SoA lanes of one VM dispatch, and
-// de-interleave the outputs back into the per-instance stores.
-// Options must already have passed bytecode_blocker().
-RunMetrics run_bytecode(const CompiledProgram& program, const LoopNest& nest,
-                        const Env& sizes, IndexedStore* stores,
-                        std::size_t batch,
-                        const InstantiateOptions& options) {
+// The plan both engines run: built (or fetched from options.plan_cache),
+// its graph copied out when asked for, and — with options.verify_plan —
+// the static verification gate: the schedule, guards and channel
+// structure proved sound before a single process is spawned.
+std::shared_ptr<const NetworkPlan> plan_for_run(
+    const CompiledProgram& program, const LoopNest& nest, const Env& sizes,
+    const InstantiateOptions& options, PlanCache::LookupStats* stats) {
   const PlanShape shape{options.channel_capacity,
                         options.merge_internal_buffers,
                         options.partition_grid};
-  std::shared_ptr<const NetworkPlan> plan;
-  PlanCache::LookupStats cache_stats;
-  if (options.plan_cache != nullptr) {
-    plan = options.plan_cache->lookup_or_build(program, nest, sizes, shape,
-                                               &cache_stats);
-  } else {
-    plan = build_plan(program, nest, sizes, shape);
-  }
+  std::shared_ptr<const NetworkPlan> plan =
+      plan_for(program, nest, sizes, shape, options.plan_cache, stats);
   if (options.network != nullptr) *options.network = plan->graph;
-
   if (options.verify_plan) {
     VerifyReport rep = verify_program(program, nest);
     verify_plan_into(rep, *plan);
@@ -71,6 +62,21 @@ RunMetrics run_bytecode(const CompiledProgram& program, const LoopNest& nest,
             rep.to_json());
     }
   }
+  return plan;
+}
+
+// The bytecode path shared by execute(backend=Bytecode) and
+// execute_batch: expand (or fetch) the plan, lower (or fetch) the
+// program, run all instances as SoA lanes of one VM dispatch, and
+// de-interleave the outputs back into the per-instance stores.
+// Options must already have passed bytecode_blocker().
+RunMetrics run_bytecode(const CompiledProgram& program, const LoopNest& nest,
+                        const Env& sizes, IndexedStore* stores,
+                        std::size_t batch,
+                        const InstantiateOptions& options) {
+  PlanCache::LookupStats cache_stats;
+  const std::shared_ptr<const NetworkPlan> plan =
+      plan_for_run(program, nest, sizes, options, &cache_stats);
 
   std::shared_ptr<const BytecodeProgram> prog;
   PlanCache::BytecodeStats bc_stats;
@@ -164,13 +170,13 @@ RunMetrics run_bytecode(const CompiledProgram& program, const LoopNest& nest,
 
 }  // namespace
 
-// Instantiation is now plan-driven: the symbolic program is lowered once
-// into an interned NetworkPlan (runtime/plan_cache — dense process and
-// channel ids, flat element slices, the legacy spawn order preserved) and
-// execute() only stands the network up and runs it. With a PlanCache
-// attached, the symbolic derivation is compiled once per (program, shape)
-// into a PlanTemplate and each new size costs only an integer expansion;
-// repeated executions at a known size skip even that.
+// Instantiation is plan-driven: the symbolic program is lowered into an
+// interned NetworkPlan (runtime/plan_cache — dense process and channel
+// ids, flat element slices) by compiling a PlanTemplate and expanding it
+// at `sizes`, and execute() only stands the network up and runs it. With
+// a PlanCache attached, the template is compiled once per (program,
+// shape) and each new size costs only an integer expansion; repeated
+// executions at a known size skip even that.
 RunMetrics execute(const CompiledProgram& program, const LoopNest& nest,
                    const Env& sizes, IndexedStore& store,
                    const InstantiateOptions& options) {
@@ -183,36 +189,11 @@ RunMetrics execute(const CompiledProgram& program, const LoopNest& nest,
     }
     return run_bytecode(program, nest, sizes, &store, 1, options);
   }
-  const PlanShape shape{options.channel_capacity,
-                        options.merge_internal_buffers,
-                        options.partition_grid};
-  std::unique_ptr<NetworkPlan> local_plan;
-  std::shared_ptr<const NetworkPlan> cached_plan;
-  const NetworkPlan* plan = nullptr;
   PlanCache::LookupStats cache_stats;
-  if (options.plan_cache != nullptr) {
-    // Keep a shared_ptr for the whole run: LRU eviction by a concurrent
-    // lookup must not free the plan under us.
-    cached_plan = options.plan_cache->lookup_or_build(program, nest, sizes,
-                                                      shape, &cache_stats);
-    plan = cached_plan.get();
-  } else {
-    local_plan = build_plan(program, nest, sizes, shape);
-    plan = local_plan.get();
-  }
-  if (options.network != nullptr) *options.network = plan->graph;
-
-  if (options.verify_plan) {
-    // Static verification gate: prove the schedule, guards and channel
-    // structure sound before a single process is spawned.
-    VerifyReport rep = verify_program(program, nest);
-    verify_plan_into(rep, *plan);
-    if (rep.errors() != 0) {
-      raise(ErrorKind::Validation,
-            "static plan verification failed:\n" + rep.to_string(),
-            rep.to_json());
-    }
-  }
+  // A shared_ptr held for the whole run: LRU eviction by a concurrent
+  // lookup must not free the plan under us.
+  const std::shared_ptr<const NetworkPlan> plan =
+      plan_for_run(program, nest, sizes, options, &cache_stats);
 
   const bool faulted =
       options.faults != nullptr && !options.faults->empty();
@@ -273,7 +254,7 @@ RunMetrics execute(const CompiledProgram& program, const LoopNest& nest,
   }
   if (!instrumented) out_values.assign(plan->elems.size(), 0);
   PlanBindings bindings;
-  bindings.plan = plan;
+  bindings.plan = plan.get();
   bindings.in_values = in_values.data();
   bindings.out_values = instrumented ? nullptr : out_values.data();
   bindings.store = &store;

@@ -232,12 +232,14 @@ std::shared_ptr<const PlanTemplate> compile_template(
 
 // ------------------------------------------------------ stage 2: expansion
 
-// The expansion mirrors build_plan() statement for statement — same spawn
-// order, same channel creation order, same graph node/edge sequence, same
-// diagnostics — with every symbolic evaluation replaced by an integer dot
-// product against the template's coefficient tables. Structural bookkeeping
-// that build_plan keeps in string- or Env-keyed maps is replaced by flat
-// arrays indexed with the PS box's row-major strides.
+// The expansion lays the network out in one fixed order — pipes per
+// stream by ascending anchor, each pipe's buffers and processes from the
+// anchor downstream, then the computation processes in box order — with
+// every symbolic quantity evaluated as an integer dot product against the
+// template's coefficient tables. Per-point bookkeeping lives in flat arrays
+// indexed with the PS box's row-major strides. The resulting layout (spawn
+// order, channel order, graph, names) is pinned by golden fingerprints
+// (tests/runtime/plan_fingerprints.txt).
 std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
                                              const Env& sizes) {
   auto plan_ptr = std::make_unique<NetworkPlan>();
@@ -275,8 +277,8 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
 
   const PlanShape& shape = tmpl.shape;
 
-  // Partitioning: dense shared-clock ids in first-use order, exactly as in
-  // build_plan (-1 when unpartitioned).
+  // Partitioning: dense shared-clock ids in first-use order, which follows
+  // the spawn order below (-1 when unpartitioned).
   std::map<IntVec, std::int32_t, IntVecLess> clock_ids;
   auto clock_for = [&](const IntVec& y) -> std::int32_t {
     if (shape.partition_grid.dim() == 0) return -1;
@@ -298,7 +300,7 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
     return it->second;
   };
 
-  // Enumerate the PS box (last dimension fastest — build_plan's order) and
+  // Enumerate the PS box (last dimension fastest) and
   // precompute row-major strides so per-point state lives in flat arrays
   // instead of IntVec-keyed maps.
   std::vector<IntVec> box;
@@ -347,11 +349,10 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
   std::vector<Port> ports(box.size() * nstreams);
 
   NetworkGraph& net = plan.graph;
-  // build_plan funnels every insertion through NetworkGraph::add_node,
-  // whose duplicate check linear-scans all nodes (quadratic overall). The
-  // only duplicates a plan ever produces are computation nodes, revisited
-  // once per stream, so an O(1) seen-flag per box point reproduces the
-  // exact same node sequence.
+  // NetworkGraph::add_node's duplicate check linear-scans all nodes
+  // (quadratic overall). The only duplicates a plan ever produces are
+  // computation nodes, revisited once per stream, so an O(1) seen-flag per
+  // box point yields the same node sequence.
   std::vector<char> comp_node_seen(box.size(), 0);
 
   auto add_channel = [&](std::string name, std::uint32_t stream,
@@ -372,13 +373,12 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
     const Int hop_capacity = shape.channel_capacity +
                              (shape.merge_internal_buffers ? q - 1 : 0);
 
-    // Group box points into pipes by their upstream anchor, in the order
-    // build_plan produces: anchors ascend lexicographically, which on the
-    // row-major box equals ascending box index, and a pipe's points ascend
-    // by dot(dir), which equals box-index order up to the sign of the
-    // per-step index delta. The anchor itself is y - steps*dir with
-    // steps = min over dims of the distance to the upstream box face — the
-    // closed form of the symbolic path's step-until-outside walk (the PS
+    // Group box points into pipes by their upstream anchor: anchors ascend
+    // lexicographically, which on the row-major box equals ascending box
+    // index, and a pipe's points ascend by dot(dir), which equals box-index
+    // order up to the sign of the per-step index delta. The anchor itself
+    // is y - steps*dir with steps = min over dims of the distance to the
+    // upstream box face — the most-upstream box point on y's line (the PS
     // box is a rectangle, so every intermediate point is inside).
     Int delta = 0;
     for (std::size_t i = 0; i < psdim; ++i) delta += dir[i] * stride[i];
@@ -451,7 +451,7 @@ std::unique_ptr<NetworkPlan> expand_template(const PlanTemplate& tmpl,
       net.nodes.push_back(
           NetworkGraph::Node{in_name, NetworkGraph::NodeKind::Input});
       std::string last_node = in_name;
-      // Same node/edge sequence as build_plan's add_node + add_edge pair;
+      // NetworkGraph's add_node + add_edge pair without the duplicate scan:
       // all names funnelled through here are new by construction (the
       // deduplicated computation nodes are handled at their use site).
       auto link_node = [&](std::string node, NetworkGraph::NodeKind kind,

@@ -38,12 +38,16 @@ void WorkerPool::run(unsigned n, const std::function<void(unsigned)>& job) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (unsigned i = 1; i < n; ++i) queue_.push_back(Task{&batch, i});
-    // Lazily grow the pool toward the demand, up to the cap. Threads are
-    // never retired: the whole point is reuse across runs.
+    // Lazily grow the pool by the shortfall of idle threads against the
+    // queued tasks, up to the cap. Threads are never retired: the whole
+    // point is reuse across runs.
+    const std::size_t shortfall =
+        queue_.size() > idle_ ? queue_.size() - idle_ : 0;
     const std::size_t want =
-        std::min<std::size_t>(max_threads_, threads_.size() + (n - 1));
+        std::min<std::size_t>(max_threads_, threads_.size() + shortfall);
     while (threads_.size() < want) {
       threads_.emplace_back([this] { worker_loop(); });
+      ++idle_;
     }
   }
   work_cv_.notify_all();
@@ -76,10 +80,15 @@ void WorkerPool::worker_loop() {
       if (shutdown_) return;
       task = queue_.front();
       queue_.pop_front();
+      --idle_;
     }
     (*task.batch->job)(task.index);
     {
       std::lock_guard<std::mutex> lock(mu_);
+      // Idle again from here on, before the caller can observe the run
+      // complete and start another: the next run then counts this thread
+      // as available instead of spawning a new one.
+      ++idle_;
       --task.batch->outstanding;
       // Notify under the lock: the Batch lives on the caller's stack and
       // is destroyed the moment the caller observes outstanding == 0, so

@@ -69,6 +69,7 @@ class WorkerPool {
   std::condition_variable work_cv_;
   std::deque<Task> queue_;
   std::vector<std::thread> threads_;
+  std::size_t idle_ = 0;  ///< threads not holding a task
   bool shutdown_ = false;
 };
 

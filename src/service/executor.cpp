@@ -590,13 +590,9 @@ Response Executor::handle_verify(const Request& req) {
   rep.design = req.design.empty() ? ce->prog.name : req.design;
   verify_spec_into(rep, ce->design.nest, ce->design.spec);
   if (rep.errors() == 0) {
-    verify_program_into(rep, ce->prog, ce->design.nest);
-    if (rep.errors() == 0) {
-      Env sizes = sizes_of(ce->design, req);
-      auto plan = plan_cache_.lookup_or_build(ce->prog, ce->design.nest, sizes,
-                                              shape_of(ce->design, req));
-      verify_plan_into(rep, *plan);
-    }
+    verify_design_into(rep, ce->prog, ce->design.nest,
+                       sizes_of(ce->design, req), shape_of(ce->design, req),
+                       &plan_cache_);
   }
   Response r;
   r.id = req.id;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "analysis/verify.hpp"
+#include "runtime/plan_template.hpp"
 #include "scheme/compiler.hpp"
 
 namespace systolize {
@@ -377,8 +378,10 @@ ExploreResult enumerate_designs(const LoopNest& nest, const ArraySpec* seed,
       ranked.cand.cost.formulas = derive_cost_formulas(*prog, nest);
       bool plan_ok = true;
       try {
+        // One template per candidate, expanded at every probe size.
+        const auto tmpl = compile_template(*prog, nest, PlanShape{});
         for (const Env& env : options.sizes) {
-          const auto plan = build_plan(*prog, nest, env, PlanShape{});
+          const auto plan = expand_template(*tmpl, env);
           if (!verify_plan(*plan).clean()) {
             plan_ok = false;
             break;

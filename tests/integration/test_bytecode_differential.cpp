@@ -390,6 +390,15 @@ TEST(BatchPool, WorkerPoolIsReusedAcrossRuns) {
   EXPECT_LE(pool.spawned(), pool.capacity());
 }
 
+// run(4) offers three tasks to the pool. Threads are idle again before a
+// run returns, so later runs find the first run's three threads free and
+// spawn none.
+TEST(BatchPool, RepeatedRunsReuseIdleThreads) {
+  WorkerPool pool(4);
+  for (int rep = 0; rep < 3; ++rep) pool.run(4, [](unsigned) {});
+  EXPECT_EQ(pool.spawned(), 3u);
+}
+
 TEST(BatchPool, PoolSmallerThanRequestStillCompletes) {
   // A one-thread pool hands an 8-worker request at most one helper; lane
   // chunks are claimed off a shared counter, so the caller and that

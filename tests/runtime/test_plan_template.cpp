@@ -1,18 +1,38 @@
-// Cross-size differential suite for the plan-template pipeline: for every
-// catalog design and a sweep of problem sizes, the two-stage path
-// (compile_template once, expand_template per size — pure integer
-// arithmetic) must reproduce the single-stage symbolic build_plan() output
-// bit for bit: spawn order, channel order, element slices, names, graph,
-// everything. Also pins that fast/instrumented runs on an
-// expanded plan match the sequential ground truth, and that the static
-// verifier gate accepts plans served through the template path.
+// Plan-layout suite. expand_template() is the one plan builder, and its
+// output is pinned by golden fingerprints (plan_fingerprints.txt, next to
+// this file) for every gallery design — the 11 catalog designs plus the
+// guarded banded_matmul.sa and masked_polyprod.sa — at six sizes and four
+// shapes. A fingerprint is a 64-bit FNV-1a hash of a canonical dump of
+// every plan field that execution, diagnostics or fault replay can
+// observe: spawn order, channel order, element slices, names, graph and
+// counts. The recorded lines come from the former single-stage symbolic
+// builder, so a match means the template path still lays every network
+// out exactly as that builder did. A deliberate layout change fails here
+// and prints the new lines; replacing the recorded ones makes the change
+// a reviewed edit of the data file. Also pins that fast/instrumented runs
+// on an expanded plan match the sequential ground truth, and that the
+// static verifier gate accepts plans served through the template path.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 
 #include "baseline/sequential.hpp"
 #include "designs/catalog.hpp"
+#include "frontend/parser.hpp"
 #include "runtime/instantiate.hpp"
 #include "runtime/plan_template.hpp"
 #include "scheme/compiler.hpp"
+
+#ifndef SYSTOLIZE_DESIGN_DIR
+#define SYSTOLIZE_DESIGN_DIR "designs"
+#endif
+#ifndef SYSTOLIZE_PLAN_FINGERPRINTS
+#define SYSTOLIZE_PLAN_FINGERPRINTS "plan_fingerprints.txt"
+#endif
 
 namespace systolize {
 namespace {
@@ -21,6 +41,20 @@ const std::string kCatalog[] = {"polyprod1",   "polyprod2", "polyprod3",
                                 "matmul1",     "matmul2",   "matmul3",
                                 "matmul4",     "convolution",
                                 "correlation", "fir_bank",  "closure"};
+/// Gallery designs that exist only as .sa files (guarded bodies).
+const std::string kGalleryFiles[] = {"banded_matmul", "masked_polyprod"};
+const Int kSizes[] = {2, 3, 4, 5, 7, 9};
+
+Design gallery_design(const std::string& name) {
+  const std::vector<std::string> names = catalog_names();
+  if (std::find(names.begin(), names.end(), name) != names.end()) {
+    return design_by_name(name);
+  }
+  std::ifstream in(std::string(SYSTOLIZE_DESIGN_DIR) + "/" + name + ".sa");
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return frontend::parse_design(buf.str());
+}
 
 Env sizes_for(const Design& design, Int n) {
   Env env{{"n", Rational(n)}};
@@ -42,127 +76,128 @@ IndexedStore seeded(const Design& design, const Env& sizes) {
       });
 }
 
-void expect_same_graph(const NetworkGraph& a, const NetworkGraph& b,
-                       const std::string& what) {
-  ASSERT_EQ(a.nodes.size(), b.nodes.size()) << what;
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    EXPECT_EQ(a.nodes[i].name, b.nodes[i].name) << what << " node " << i;
-    EXPECT_EQ(a.nodes[i].kind, b.nodes[i].kind) << what << " node " << i;
+/// Canonical text of every observable plan field, one record a line.
+std::string plan_dump(const NetworkPlan& p) {
+  std::ostringstream os;
+  for (const std::string& s : p.streams) os << "stream " << s << '\n';
+  for (const auto& c : p.channels) {
+    os << "chan " << c.name << ' ' << c.stream << ' ' << c.capacity << ' '
+       << c.sender << ' ' << c.receiver << '\n';
   }
-  ASSERT_EQ(a.edges.size(), b.edges.size()) << what;
-  for (std::size_t i = 0; i < a.edges.size(); ++i) {
-    EXPECT_EQ(a.edges[i].from, b.edges[i].from) << what << " edge " << i;
-    EXPECT_EQ(a.edges[i].to, b.edges[i].to) << what << " edge " << i;
-    EXPECT_EQ(a.edges[i].channel, b.edges[i].channel) << what << " edge " << i;
-    EXPECT_EQ(a.edges[i].stream, b.edges[i].stream) << what << " edge " << i;
+  for (const auto& q : p.procs) {
+    os << "proc " << q.name << ' ' << static_cast<int>(q.kind) << ' '
+       << q.clock << ' ' << q.stream << ' ' << q.chan_in << ' '
+       << q.chan_out << ' ' << q.count << ' ' << q.elem_begin << ' '
+       << q.elem_end << ' ' << q.role_begin << ' ' << q.role_end << ' '
+       << q.first_x.to_string() << ' ' << q.coords.to_string() << '\n';
   }
+  for (const auto& r : p.roles) {
+    os << "role " << r.stream << ' ' << r.stationary << ' ' << r.soak << ' '
+       << r.drain << ' ' << r.chan_in << ' ' << r.chan_out << '\n';
+  }
+  for (const IntVec& e : p.elems) os << "elem " << e.to_string() << '\n';
+  os << "increment " << p.increment.to_string() << '\n'
+     << "counts " << p.clock_count << ' ' << p.comp_count << ' '
+     << p.io_count << ' ' << p.buffer_count << ' ' << p.max_par_ops << ' '
+     << p.total_par_bound << '\n';
+  for (const auto& node : p.graph.nodes) {
+    os << "node " << node.name << ' ' << static_cast<int>(node.kind) << '\n';
+  }
+  for (const auto& e : p.graph.edges) {
+    os << "edge " << e.from << ' ' << e.to << ' ' << e.channel << ' '
+       << e.stream << '\n';
+  }
+  return os.str();
 }
 
-/// Field-by-field structural identity of two NetworkPlans. Every field
-/// that influences execution, diagnostics or fault replay is
-/// compared — "bit-identical" in the sense that no observable differs.
-void expect_same_plan(const NetworkPlan& a, const NetworkPlan& b,
-                      const std::string& what) {
-  EXPECT_EQ(a.streams, b.streams) << what;
-  ASSERT_EQ(a.channels.size(), b.channels.size()) << what;
-  for (std::size_t i = 0; i < a.channels.size(); ++i) {
-    const auto& ca = a.channels[i];
-    const auto& cb = b.channels[i];
-    EXPECT_EQ(ca.name, cb.name) << what << " channel " << i;
-    EXPECT_EQ(ca.stream, cb.stream) << what << " channel " << i;
-    EXPECT_EQ(ca.capacity, cb.capacity) << what << " channel " << i;
-    EXPECT_EQ(ca.sender, cb.sender) << what << " channel " << i;
-    EXPECT_EQ(ca.receiver, cb.receiver) << what << " channel " << i;
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ULL;
   }
-  ASSERT_EQ(a.procs.size(), b.procs.size()) << what;
-  for (std::size_t i = 0; i < a.procs.size(); ++i) {
-    const auto& pa = a.procs[i];
-    const auto& pb = b.procs[i];
-    EXPECT_EQ(pa.name, pb.name) << what << " proc " << i;
-    EXPECT_EQ(pa.kind, pb.kind) << what << " proc " << i;
-    EXPECT_EQ(pa.clock, pb.clock) << what << " proc " << i;
-    EXPECT_EQ(pa.stream, pb.stream) << what << " proc " << i;
-    EXPECT_EQ(pa.chan_in, pb.chan_in) << what << " proc " << i;
-    EXPECT_EQ(pa.chan_out, pb.chan_out) << what << " proc " << i;
-    EXPECT_EQ(pa.count, pb.count) << what << " proc " << i;
-    EXPECT_EQ(pa.elem_begin, pb.elem_begin) << what << " proc " << i;
-    EXPECT_EQ(pa.elem_end, pb.elem_end) << what << " proc " << i;
-    EXPECT_EQ(pa.role_begin, pb.role_begin) << what << " proc " << i;
-    EXPECT_EQ(pa.role_end, pb.role_end) << what << " proc " << i;
-    EXPECT_EQ(pa.first_x, pb.first_x) << what << " proc " << i;
-    EXPECT_EQ(pa.coords, pb.coords) << what << " proc " << i;
+  return h;
+}
+
+/// "<design> <shape> n=<n>": the key of one data-file line.
+std::string golden_key(const std::string& design, const std::string& shape,
+                       Int n) {
+  return design + " " + shape + " n=" + std::to_string(n);
+}
+
+std::string golden_line(const std::string& key, const NetworkPlan& plan) {
+  char hash[17];
+  std::snprintf(hash, sizeof hash, "%016llx",
+                static_cast<unsigned long long>(fnv1a64(plan_dump(plan))));
+  return key + " procs=" + std::to_string(plan.procs.size()) +
+         " channels=" + std::to_string(plan.channels.size()) +
+         " elems=" + std::to_string(plan.elems.size()) + " fnv=" + hash;
+}
+
+/// The data file as key -> full line ('#' lines are comments).
+const std::map<std::string, std::string>& recorded_fingerprints() {
+  static const std::map<std::string, std::string> lines = [] {
+    std::map<std::string, std::string> out;
+    std::ifstream in(SYSTOLIZE_PLAN_FINGERPRINTS);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      const std::size_t end = line.find(" procs=");
+      out[line.substr(0, end)] = line;
+    }
+    return out;
+  }();
+  return lines;
+}
+
+/// Expand `name` under `shape` at every size in kSizes and compare each
+/// plan's fingerprint with the recorded line.
+void expect_recorded_layout(const std::string& name,
+                            const std::string& shape_name,
+                            const PlanShape& shape) {
+  Design design = gallery_design(name);
+  CompiledProgram prog = compile(design.nest, design.spec);
+  auto tmpl = compile_template(prog, design.nest, shape);
+  for (Int n : kSizes) {
+    auto plan = expand_template(*tmpl, sizes_for(design, n));
+    const std::string key = golden_key(name, shape_name, n);
+    const std::string line = golden_line(key, *plan);
+    auto it = recorded_fingerprints().find(key);
+    if (it == recorded_fingerprints().end()) {
+      ADD_FAILURE() << "no recorded fingerprint for " << key
+                    << "\n  new line: " << line;
+    } else if (it->second != line) {
+      ADD_FAILURE() << "plan layout changed for " << key
+                    << "\n  recorded: " << it->second
+                    << "\n  new line: " << line;
+    }
   }
-  ASSERT_EQ(a.roles.size(), b.roles.size()) << what;
-  for (std::size_t i = 0; i < a.roles.size(); ++i) {
-    const auto& ra = a.roles[i];
-    const auto& rb = b.roles[i];
-    EXPECT_EQ(ra.stream, rb.stream) << what << " role " << i;
-    EXPECT_EQ(ra.stationary, rb.stationary) << what << " role " << i;
-    EXPECT_EQ(ra.soak, rb.soak) << what << " role " << i;
-    EXPECT_EQ(ra.drain, rb.drain) << what << " role " << i;
-    EXPECT_EQ(ra.chan_in, rb.chan_in) << what << " role " << i;
-    EXPECT_EQ(ra.chan_out, rb.chan_out) << what << " role " << i;
-  }
-  EXPECT_EQ(a.elems, b.elems) << what;
-  EXPECT_EQ(a.increment, b.increment) << what;
-  EXPECT_EQ(a.clock_count, b.clock_count) << what;
-  EXPECT_EQ(a.comp_count, b.comp_count) << what;
-  EXPECT_EQ(a.io_count, b.io_count) << what;
-  EXPECT_EQ(a.buffer_count, b.buffer_count) << what;
-  EXPECT_EQ(a.max_par_ops, b.max_par_ops) << what;
-  EXPECT_EQ(a.total_par_bound, b.total_par_bound) << what;
-  expect_same_graph(a.graph, b.graph, what);
 }
 
 class CrossSizeDifferential : public ::testing::TestWithParam<std::string> {};
 
-// One template, many sizes: expansion must agree with a fresh symbolic
-// build at every size in the sweep.
+// One template, many sizes: every expansion reproduces the recorded
+// layout of the symbolic builder at that size.
 TEST_P(CrossSizeDifferential, ExpandMatchesBuildPlanAcrossSizes) {
-  Design design = design_by_name(GetParam());
-  CompiledProgram prog = compile(design.nest, design.spec);
-  const PlanShape shape;
-  auto tmpl = compile_template(prog, design.nest, shape);
-  for (Int n : {2, 3, 4, 5, 7, 9}) {
-    Env sizes = sizes_for(design, n);
-    auto expanded = expand_template(*tmpl, sizes);
-    auto reference = build_plan(prog, design.nest, sizes, shape);
-    expect_same_plan(*expanded, *reference,
-                     GetParam() + " n=" + std::to_string(n));
-  }
+  expect_recorded_layout(GetParam(), "default", PlanShape{});
 }
 
 // Non-default shapes flow through the template too: extra channel slack,
 // merged internal buffers, and partition grids (shared clock ids).
 TEST_P(CrossSizeDifferential, ExpandMatchesBuildPlanAcrossShapes) {
-  Design design = design_by_name(GetParam());
-  CompiledProgram prog = compile(design.nest, design.spec);
-  std::vector<PlanShape> shapes;
-  shapes.push_back(PlanShape{2, false, {}});
-  shapes.push_back(PlanShape{0, true, {}});
-  {
-    PlanShape partitioned;
-    partitioned.partition_grid =
-        IntVec(std::vector<Int>(design.nest.depth() - 1, 2));
-    shapes.push_back(partitioned);
-  }
-  for (const PlanShape& shape : shapes) {
-    auto tmpl = compile_template(prog, design.nest, shape);
-    for (Int n : {3, 5}) {
-      Env sizes = sizes_for(design, n);
-      auto expanded = expand_template(*tmpl, sizes);
-      auto reference = build_plan(prog, design.nest, sizes, shape);
-      expect_same_plan(*expanded, *reference,
-                       GetParam() + " shaped n=" + std::to_string(n));
-    }
-  }
+  expect_recorded_layout(GetParam(), "cap2", PlanShape{2, false, {}});
+  expect_recorded_layout(GetParam(), "merged", PlanShape{0, true, {}});
+  PlanShape partitioned;
+  partitioned.partition_grid = IntVec(
+      std::vector<Int>(gallery_design(GetParam()).nest.depth() - 1, 2));
+  expect_recorded_layout(GetParam(), "grid2", partitioned);
 }
 
 // Executing an expanded plan (served via the cache's template path) must
 // match the sequential ground truth on the fast and instrumented engines
 // alike.
 TEST_P(CrossSizeDifferential, ExpandedPlanRunsMatchSequential) {
-  Design design = design_by_name(GetParam());
+  Design design = gallery_design(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
   PlanCache cache;
   for (Int n : {3, 5}) {
@@ -199,7 +234,7 @@ TEST_P(CrossSizeDifferential, ExpandedPlanRunsMatchSequential) {
 // accept every catalog design when the plan arrives via the template
 // path — same proofs, zero scheduler rounds, no false findings.
 TEST_P(CrossSizeDifferential, VerifyPlanGatePassesOnTemplatePath) {
-  Design design = design_by_name(GetParam());
+  Design design = gallery_design(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
   PlanCache cache;
   Env sizes = sizes_for(design, 4);
@@ -215,6 +250,19 @@ TEST_P(CrossSizeDifferential, VerifyPlanGatePassesOnTemplatePath) {
 INSTANTIATE_TEST_SUITE_P(Catalog, CrossSizeDifferential,
                          ::testing::ValuesIn(kCatalog),
                          [](const auto& info) { return info.param; });
+INSTANTIATE_TEST_SUITE_P(GalleryFiles, CrossSizeDifferential,
+                         ::testing::ValuesIn(kGalleryFiles),
+                         [](const auto& info) { return info.param; });
+
+// The data file holds one line per gallery design, shape (default, cap2,
+// merged, grid2) and size, and nothing stale besides (each line's
+// presence is checked above).
+TEST(PlanFingerprints, OneLinePerGalleryDesignShapeAndSize) {
+  EXPECT_EQ(recorded_fingerprints().size(),
+            (std::size(kCatalog) + std::size(kGalleryFiles)) * 4 *
+                std::size(kSizes))
+      << "missing or extra lines in " << SYSTOLIZE_PLAN_FINGERPRINTS;
+}
 
 // Template expansion reports unbound sizes the way the symbolic
 // evaluator does — by naming the missing symbol.
@@ -258,7 +306,8 @@ TEST(PlanTemplate, TemplateOutlivesProgram) {
     reference = build_plan(prog, design.nest, sizes, PlanShape{});
   }
   auto expanded = expand_template(*tmpl, sizes);
-  expect_same_plan(*expanded, *reference, "matmul2 after program death");
+  EXPECT_EQ(plan_dump(*expanded), plan_dump(*reference))
+      << "matmul2 after program death";
 }
 
 }  // namespace

@@ -253,7 +253,11 @@ TEST(Scheduler, ManyProcessChain) {
   std::vector<Channel*> chans;
   chans.reserve(kStages + 1);
   for (int i = 0; i <= kStages; ++i) {
-    chans.push_back(&sched.make_channel("c" + std::to_string(i)));
+    // Appended, not `"c" + std::to_string(i)`: GCC 12 at -O3 flags that
+    // concatenation with a false -Wrestrict.
+    std::string name = "c";
+    name += std::to_string(i);
+    chans.push_back(&sched.make_channel(name));
   }
   std::vector<Value> vals;
   for (Value v = 0; v < kValues; ++v) vals.push_back(v);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -212,6 +214,26 @@ TEST(Executor, VerifyOpRunsTheStaticPipeline) {
   EXPECT_EQ(r.verdict, "clean");
   Json report = Json::parse(r.data_json);
   EXPECT_NE(report.get("findings"), nullptr);
+}
+
+// The verify op runs the same rules as `systolize verify`, loading cover
+// included: this fixture's stationary stream is declared over a box
+// larger than the index-map image of its iteration domain.
+TEST(Executor, VerifyOpReportsLoadingCover) {
+  std::ifstream in(std::string(SYSTOLIZE_DESIGN_DIR) +
+                   "/broken/loading_cover.sa");
+  std::ostringstream source;
+  source << in.rdbuf();
+  Executor ex(fast_config());
+  Request req;
+  req.op = "verify";
+  req.source = source.str();
+  req.n = 4;
+  Response r = ex.handle(req);
+  ASSERT_EQ(r.status, "ok") << r.message;
+  EXPECT_EQ(r.verdict, "findings");
+  EXPECT_NE(r.data_json.find("\"flow.loading-cover\""), std::string::npos)
+      << r.data_json;
 }
 
 TEST(Executor, AnalyzeOpReturnsCostReportAndReusesCompileCache) {

@@ -123,7 +123,9 @@ TEST(Protocol, RetryAfterHintIsOmittedWhenNegative) {
   Response r;
   r.id = 1;
   r.op = "run";
-  r.status = "ok";
+  // Move-assigned: GCC 12 at -O3 flags `r.status = "ok"` here with a
+  // false -Wmaybe-uninitialized.
+  r.status = std::string("ok");
   r.verdict = "success";
   EXPECT_EQ(r.to_json().find("retry_after_ms"), std::string::npos);
   r.retry_after_ms = 50;

@@ -10,6 +10,14 @@
 namespace systolize::service {
 namespace {
 
+/// "t<i>", appended rather than `tenant_name(i)`: GCC 12 at -O3
+/// flags that concatenation with a false -Wrestrict.
+std::string tenant_name(int i) {
+  std::string name = "t";
+  name += std::to_string(i);
+  return name;
+}
+
 Job job_for(const std::string& tenant) {
   Job j;
   j.req.op = "ping";
@@ -207,8 +215,7 @@ TEST(Coalescing, PopGroupSweepsMatchesAndPreservesFifo) {
 TEST(Coalescing, GroupCapBoundsTheSweep) {
   RequestQueue q(16, 0);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(q.try_push(run_job("t" + std::to_string(i), "matmul2", 4))
-                    .admitted);
+    ASSERT_TRUE(q.try_push(run_job(tenant_name(i), "matmul2", 4)).admitted);
   }
   EXPECT_EQ(q.pop_group(2).size(), 2u);
   EXPECT_EQ(q.pop_group(2).size(), 2u);
@@ -220,24 +227,22 @@ TEST(Coalescing, GroupCapOfOneNeverSweeps) {
   // when the whole backlog would coalesce with the front.
   RequestQueue q(16, 0);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(q.try_push(run_job("t" + std::to_string(i), "matmul2", 4))
-                    .admitted);
+    ASSERT_TRUE(q.try_push(run_job(tenant_name(i), "matmul2", 4)).admitted);
   }
   for (int i = 0; i < 3; ++i) {
     std::vector<Job> group = q.pop_group(1);
     ASSERT_EQ(group.size(), 1u);
-    EXPECT_EQ(group[0].req.tenant, "t" + std::to_string(i));
+    EXPECT_EQ(group[0].req.tenant, tenant_name(i));
   }
 }
 
 TEST(Coalescing, GroupCapEqualToMatchCountTakesAllInOneSweep) {
   RequestQueue q(16, 0);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q.try_push(run_job("t" + std::to_string(i), "matmul2", 4))
-                    .admitted);
+    ASSERT_TRUE(q.try_push(run_job(tenant_name(i), "matmul2", 4)).admitted);
   }
   EXPECT_EQ(q.pop_group(4).size(), 4u);  // exactly at the cap — no split
-  for (int i = 0; i < 4; ++i) q.finish("t" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) q.finish(tenant_name(i));
   q.close();
   EXPECT_TRUE(q.pop_group(4).empty());  // nothing left behind
 }

@@ -161,9 +161,12 @@ echo "=== bench smoke: template expansion ==="
 "${repo}/build/bench/bench_endtoend" \
   --benchmark_filter='BM_PlanExpand_Matmul2/6' --benchmark_min_time=0.05
 
-echo "=== cross-size differential: expand_template == build_plan ==="
+echo "=== plan layout: expand_template against the golden fingerprints ==="
+# Every gallery design at six sizes and four shapes must expand to the
+# recorded layout (tests/runtime/plan_fingerprints.txt), and expanded
+# plans must run and verify as before.
 ctest --test-dir "${repo}/build" --output-on-failure \
-  -R 'CrossSizeDifferential|PlanTemplate|PlanCache'
+  -R 'CrossSizeDifferential|PlanFingerprints|PlanTemplate|PlanCache'
 
 echo "=== thread sanitizer: plan cache + batch lanes on the worker pool ==="
 cmake -B "${repo}/build-tsan" -S "${repo}" -DSYSTOLIZE_SANITIZE=thread

@@ -624,10 +624,21 @@ int cmd_run(const Design& design, const Options& opt) {
   return 0;
 }
 
+PlanShape shape_of_options(const Design& design, const Options& opt) {
+  PlanShape shape;
+  shape.channel_capacity = opt.capacity;
+  shape.merge_internal_buffers = opt.merge_buffers;
+  if (opt.partition > 0) {
+    std::vector<Int> comps(design.nest.depth() - 1, opt.partition);
+    shape.partition_grid = IntVec(comps);
+  }
+  return shape;
+}
+
 /// The full static pipeline on one design: spec rules; when those pass,
-/// compile and run the program rules; when those pass too, intern the
-/// plan at the requested sizes/shape and run the plan rules. Compile or
-/// interning failures become findings instead of aborting the sweep.
+/// compile and run verify_design at the requested sizes/shape (the same
+/// rules the serve `verify` op runs). Compile failures become findings
+/// instead of aborting the sweep.
 VerifyReport verify_one(const Design& design, const std::string& label,
                         const Options& opt) {
   VerifyReport rep;
@@ -636,23 +647,8 @@ VerifyReport verify_one(const Design& design, const std::string& label,
   if (rep.errors() == 0) {
     try {
       CompiledProgram prog = compile(design.nest, design.spec);
-      verify_program_into(rep, prog, design.nest);
-      if (rep.errors() == 0) {
-        verify_loading_cover_into(rep, prog, design.nest,
-                                  sizes_of(design, opt));
-      }
-      if (rep.errors() == 0) {
-        PlanShape shape;
-        shape.channel_capacity = opt.capacity;
-        shape.merge_internal_buffers = opt.merge_buffers;
-        if (opt.partition > 0) {
-          std::vector<Int> comps(design.nest.depth() - 1, opt.partition);
-          shape.partition_grid = IntVec(comps);
-        }
-        auto plan = build_plan(prog, design.nest, sizes_of(design, opt),
-                               shape);
-        verify_plan_into(rep, *plan);
-      }
+      verify_design_into(rep, prog, design.nest, sizes_of(design, opt),
+                         shape_of_options(design, opt));
     } catch (const Error& e) {
       rep.add("compile.error", Severity::Error, design.nest.name(),
               std::string(error_kind_name(e.kind())) + ": " + e.what(),
@@ -672,9 +668,7 @@ int cmd_verify(const std::string& what, const Options& opt) {
   std::vector<VerifyReport> reports;
   if (what == "all") {
     // Catalog names, not nest names — several designs share a nest.
-    for (const char* name :
-         {"polyprod1", "polyprod2", "polyprod3", "matmul1", "matmul2",
-          "matmul3", "matmul4", "convolution", "correlation"}) {
+    for (const std::string& name : catalog_names()) {
       reports.push_back(verify_one(design_by_name(name), name, opt));
     }
   } else {
@@ -735,17 +729,6 @@ std::vector<Env> probe_sizes(const Design& design, const Options& opt,
     raise(ErrorKind::Validation, "--sizes needs at least one value");
   }
   return envs;
-}
-
-PlanShape shape_of_options(const Design& design, const Options& opt) {
-  PlanShape shape;
-  shape.channel_capacity = opt.capacity;
-  shape.merge_internal_buffers = opt.merge_buffers;
-  if (opt.partition > 0) {
-    std::vector<Int> comps(design.nest.depth() - 1, opt.partition);
-    shape.partition_grid = IntVec(comps);
-  }
-  return shape;
 }
 
 /// Static cost report. Verifier-first: a broken design yields its
