@@ -143,7 +143,7 @@ BENCHMARK(BM_BatchSweep_Interp)->Arg(1)->Arg(8)->Arg(64);
 // ---------------------------------------------------------------------
 // Differential fuzzing throughput (PR10): samples generated AND driven
 // through the whole oracle — parse, compile, static verify, then every
-// engine (interp, instrumented, bytecode solo + batch=3)
+// engine (interp, watchdog, bytecode solo + batch=3)
 // cross-checked against the sequential baseline. items/s is oracle
 // verdicts per second; any disagreement fails the bench outright.
 

@@ -4,8 +4,8 @@
 // driven through the full differential stack —
 //
 //   parse -> compile -> static verify -> template expand -> run on
-//   every eligible engine (interp fast path, instrumented scheduler,
-//   bytecode VM solo and --batch=N SoA lanes)
+//   every engine (the coroutine interpreter as reference, the default
+//   engine under a watchdog, bytecode VM solo and --batch=N SoA lanes)
 //
 // — with every result, makespan and transfer count cross-checked against
 // the src/baseline/ sequential ground truth, and every static-verifier

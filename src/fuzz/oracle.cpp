@@ -163,8 +163,10 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
     IndexedStore expected = seeded_lane(design.nest, sizes, 0);
     IndexedStore got = expected;
     run_sequential(design.nest, sizes, expected);
+    InstantiateOptions interp;
+    interp.backend = Backend::Interp;
     try {
-      (void)execute(*prog, design.nest, sizes, got, {});
+      (void)execute(*prog, design.nest, sizes, got, interp);
     } catch (const Error& e) {
       result.outcome = Outcome::StaticReject;
       result.detail = std::string("runtime confirmed: ") + e.what();
@@ -195,10 +197,13 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
 
   std::string stage;
   try {
-    // Reference engine: the sequential interp fast path.
+    // Reference engine: the coroutine interpreter.
     stage = "interp";
     IndexedStore interp_store = seeded_lane(design.nest, sizes, 0);
-    const RunMetrics ref = execute(*prog, design.nest, sizes, interp_store);
+    InstantiateOptions interp;
+    interp.backend = Backend::Interp;
+    const RunMetrics ref =
+        execute(*prog, design.nest, sizes, interp_store, interp);
     std::string diff = diff_stores(design.nest, expected, interp_store, stage);
 
     MetricCheck mc;
@@ -221,10 +226,12 @@ OracleResult run_oracle(const Design& design, const Env& sizes,
                    what + " rounds");
     };
 
-    // The instrumented scheduler (a positive round budget forces it).
-    InstantiateOptions instr;
-    instr.watchdog.max_rounds = Int{1} << 40;
-    check_engine("instrumented", instr);
+    // The default engine under a never-tripping watchdog, as the serve
+    // daemon runs every request (round budget plus wall-clock deadline).
+    InstantiateOptions watchdog;
+    watchdog.watchdog.max_rounds = Int{1} << 40;
+    watchdog.watchdog.set_deadline(Int{1} << 30);
+    check_engine("watchdog", watchdog);
 
     // Bytecode VM, solo: replicates the fast loop's round structure, so
     // even the round count must agree.

@@ -15,8 +15,8 @@
 //
 // Lowered programs are pure functions of the plan: they carry no run
 // state and no references into the plan beyond dense ids, so one program
-// is shared across concurrent runs (and cached — PlanCache keeps a third,
-// bytecode level keyed by plan identity).
+// is shared across concurrent runs (and cached — PlanCache keeps it in
+// its plan's entry, under the same byte budget).
 //
 // The instruction set is deliberately coarse: each instruction may loop
 // internally (a whole input pipe is ONE SendIn instruction), because the

@@ -23,18 +23,20 @@ namespace systolize {
 
 class WorkerPool;
 
-/// Which engine executes the expanded plan.
+/// Which engine executes the expanded plan. One rule serves execute()
+/// and execute_batch() alike:
 ///
-///   * Auto — single-instance runs take the coroutine scheduler exactly
-///     as before; batched runs (execute_batch with batch > 1) take the
-///     bytecode VM when the options are eligible and fall back to a
-///     sequential per-instance interp loop otherwise.
-///   * Interp — force the coroutine scheduler (batched runs loop over
-///     instances sequentially; the baseline the batching benchmarks
-///     compare against).
+///   * Auto — every run the bytecode VM can carry goes to the VM, solo or
+///     batched. The coroutine scheduler takes the runs with attachments
+///     the VM lacks: channel capacity > 0, merged internal buffers,
+///     partitioning, tracing, fault injection and starvation bounds
+///     (batched runs then loop over instances sequentially).
+///   * Interp — force the coroutine scheduler: the differential reference
+///     the VM is checked against, and the baseline the batching
+///     benchmarks compare with.
 ///   * Bytecode — force the lowered VM (runtime/bytecode + runtime/vm);
 ///     incompatible options raise Error(Validation). Bit-identical to
-///     the interpreted fast path via the dataflow clocks.
+///     the interpreter via the dataflow clocks.
 enum class Backend { Auto, Interp, Bytecode };
 
 struct InstantiateOptions {
@@ -61,8 +63,9 @@ struct InstantiateOptions {
   /// plan must outlive the call.
   const FaultPlan* faults = nullptr;
   /// Progress watchdog: bounds on scheduler rounds and per-process
-  /// blocked time (0 = disabled). Turns livelock/starvation into a
-  /// structured Error(Runtime) with a forensic report.
+  /// blocked time, and a wall-clock deadline (0 = disabled). Turns
+  /// livelock, starvation and overruns into a structured Error(Timeout)
+  /// with a forensic report.
   WatchdogConfig watchdog;
   /// Most worker threads a bytecode batch may spread its SoA lanes over
   /// (min(threads, batch) are used; 0 or 1 = the calling thread only).
@@ -88,7 +91,7 @@ struct InstantiateOptions {
   /// Execution engine selection (see Backend). The bytecode VM requires
   /// pure rendezvous channels (capacity 0, unmerged buffers), no
   /// partitioning, no tracing, no fault injection and no starvation
-  /// bound; round budgets and cancel tokens are supported.
+  /// bound; round budgets and wall-clock deadlines are supported.
   Backend backend = Backend::Auto;
 };
 
@@ -105,9 +108,9 @@ struct InstantiateOptions {
 /// outputs. All instances share the schedule (it is value-independent),
 /// so on the bytecode backend the whole batch runs as SoA lanes of a
 /// single VM dispatch — plan expansion, lowering and all per-transfer
-/// control cost are paid once for the batch. Backend::Interp (or an
-/// ineligible Auto) degrades to a sequential per-instance loop with
-/// identical results. The returned metrics describe the shared schedule
+/// control cost are paid once for the batch. The engine rule is
+/// execute()'s (see Backend); on the interpreter the batch degrades to a
+/// sequential per-instance loop with identical results. The returned metrics describe the shared schedule
 /// (identical for every instance) with `batch` set.
 ///
 /// Fault injection is per-instance by nature (a kill produces a verdict

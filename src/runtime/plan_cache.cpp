@@ -30,6 +30,28 @@ std::shared_ptr<const NetworkPlan> plan_for(const CompiledProgram& program,
   return build_plan(program, nest, sizes, shape);
 }
 
+PlanCache::Lowered lowered_for(const CompiledProgram& program,
+                               const LoopNest& nest, const Env& sizes,
+                               const PlanShape& shape, PlanCache* cache,
+                               PlanCache::LookupStats* stats,
+                               PlanCache::BytecodeStats* bc_stats) {
+  if (cache != nullptr) {
+    return cache->lookup_or_lower(program, nest, sizes, shape, stats,
+                                  bc_stats);
+  }
+  PlanCache::Lowered lowered;
+  lowered.plan = build_plan(program, nest, sizes, shape);
+  const auto t0 = std::chrono::steady_clock::now();
+  lowered.program = lower_plan(*lowered.plan);
+  if (bc_stats != nullptr) {
+    bc_stats->lower_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  }
+  return lowered;
+}
+
 // --------------------------------------------------------- memory_bytes
 
 namespace {
@@ -172,7 +194,7 @@ std::shared_ptr<const NetworkPlan> PlanCache::lookup_or_build(
   }
   ++misses_;
   const std::size_t plan_bytes = built->memory_bytes();
-  lru_.push_front(PlanEntry{key, std::move(built), plan_bytes});
+  lru_.push_front(PlanEntry{key, std::move(built), plan_bytes, nullptr, 0});
   plans_.emplace(key, lru_.begin());
   bytes_ += plan_bytes;
   // Evict least-recently-used plans down to the budget; the entry just
@@ -186,60 +208,68 @@ void PlanCache::evict_to_budget_locked() {
   while (bytes_ > budget_ && lru_.size() > 1) {
     PlanEntry& victim = lru_.back();
     bytes_ -= victim.bytes;
+    if (victim.program) {
+      --programs_;
+      program_bytes_ -= victim.program_bytes;
+    }
     plans_.erase(victim.key);
     lru_.pop_back();
     ++evictions_;
   }
 }
 
-std::shared_ptr<const BytecodeProgram> PlanCache::lookup_or_lower(
-    std::shared_ptr<const NetworkPlan> plan, BytecodeStats* stats) {
+PlanCache::Lowered PlanCache::lookup_or_lower(const CompiledProgram& program,
+                                              const LoopNest& nest,
+                                              const Env& sizes,
+                                              const PlanShape& shape,
+                                              LookupStats* stats,
+                                              BytecodeStats* bc_stats) {
+  Lowered out;
+  out.plan = lookup_or_build(program, nest, sizes, shape, stats);
+  const std::string key = plan_key(template_key(program, shape), sizes);
+  // The entry holding `out.plan`, or lru_.end() once it has left the
+  // cache. Caller holds mu_.
+  auto entry_locked = [&] {
+    auto it = plans_.find(key);
+    return it != plans_.end() && it->second->plan == out.plan ? it->second
+                                                              : lru_.end();
+  };
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = bc_index_.find(plan.get());
-    if (it != bc_index_.end()) {
+    if (auto e = entry_locked(); e != lru_.end() && e->program) {
       ++bc_hits_;
-      bc_lru_.splice(bc_lru_.begin(), bc_lru_, it->second);
-      if (stats != nullptr) stats->hit = true;
-      return it->second->program;
+      if (bc_stats != nullptr) bc_stats->hit = true;
+      out.program = e->program;
+      return out;
     }
   }
   // Miss: lower outside the lock (concurrent callers for different plans
   // should not serialize; a racing duplicate of the same plan is harmless
-  // — first insert wins, like the plan level).
+  // — first attach wins, like the plan level).
   const auto t0 = std::chrono::steady_clock::now();
-  std::shared_ptr<const BytecodeProgram> lowered = lower_plan(*plan);
+  out.program = lower_plan(*out.plan);
   const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
-  if (stats != nullptr) stats->lower_ns = static_cast<std::uint64_t>(elapsed);
+  if (bc_stats != nullptr) {
+    bc_stats->lower_ns = static_cast<std::uint64_t>(elapsed);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   lower_ns_ += static_cast<std::uint64_t>(elapsed);
-  auto it = bc_index_.find(plan.get());
-  if (it != bc_index_.end()) {
-    ++bc_hits_;
-    bc_lru_.splice(bc_lru_.begin(), bc_lru_, it->second);
-    if (stats != nullptr) stats->hit = true;
-    return it->second->program;
-  }
   ++bc_misses_;
-  const std::size_t program_bytes = lowered->memory_bytes();
-  bc_lru_.push_front(BytecodeEntry{plan.get(), std::move(plan),
-                                   std::move(lowered), program_bytes});
-  bc_index_.emplace(bc_lru_.front().key, bc_lru_.begin());
-  bc_bytes_ += program_bytes;
-  evict_bytecode_locked();
-  return bc_lru_.front().program;
-}
-
-void PlanCache::evict_bytecode_locked() {
-  while (bc_bytes_ > budget_ && bc_lru_.size() > 1) {
-    BytecodeEntry& victim = bc_lru_.back();
-    bc_bytes_ -= victim.bytes;
-    bc_index_.erase(victim.key);
-    bc_lru_.pop_back();
-    ++bc_evictions_;
-  }
+  const auto e = entry_locked();
+  if (e == lru_.end() || e->program) return out;  // evicted, or raced
+  e->program = out.program;
+  e->program_bytes = out.program->memory_bytes();
+  e->bytes += e->program_bytes;
+  bytes_ += e->program_bytes;
+  ++programs_;
+  program_bytes_ += e->program_bytes;
+  // The entry grew: freshen it so the budget is enforced against older
+  // entries, never against the one just completed.
+  lru_.splice(lru_.begin(), lru_, e);
+  evict_to_budget_locked();
+  return out;
 }
 
 std::size_t PlanCache::byte_budget() const {
@@ -251,7 +281,6 @@ void PlanCache::set_byte_budget(std::size_t byte_budget) {
   std::lock_guard<std::mutex> lock(mu_);
   budget_ = byte_budget;
   evict_to_budget_locked();
-  evict_bytecode_locked();
 }
 
 std::size_t PlanCache::size() const {
@@ -296,7 +325,7 @@ std::uint64_t PlanCache::expand_ns() const {
 
 std::size_t PlanCache::bytecode_size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return bc_index_.size();
+  return programs_;
 }
 
 std::size_t PlanCache::bytecode_hits() const {
@@ -309,14 +338,9 @@ std::size_t PlanCache::bytecode_misses() const {
   return bc_misses_;
 }
 
-std::size_t PlanCache::bytecode_evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bc_evictions_;
-}
-
 std::size_t PlanCache::bytecode_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return bc_bytes_;
+  return program_bytes_;
 }
 
 std::uint64_t PlanCache::lower_ns() const {
@@ -340,16 +364,8 @@ Task plan_input_body(Ctx ctx, Channel* chan, const Value* values,
   }
 }
 
-Task plan_output_flat_body(Ctx ctx, Channel* chan, Value* out, Int count) {
-  for (Int i = 0; i < count; ++i) {
-    Value v = 0;
-    co_await ctx.recv(*chan, v);
-    out[i] = v;
-  }
-}
-
-Task plan_output_store_body(Ctx ctx, Channel* chan, const NetworkPlan* plan,
-                            std::uint32_t pi, IndexedStore* store) {
+Task plan_output_body(Ctx ctx, Channel* chan, const NetworkPlan* plan,
+                      std::uint32_t pi, IndexedStore* store) {
   const NetworkPlan::ProcSpec& spec = plan->procs[pi];
   const std::string& var = plan->streams[spec.stream];
   for (std::size_t e = spec.elem_begin; e < spec.elem_end; ++e) {
@@ -493,22 +509,12 @@ Process& spawn_plan_proc(Scheduler& sched, std::uint32_t pi,
     }
     case NetworkPlan::ProcKind::Output: {
       Channel* in = chans[spec.chan_in];
-      if (bindings.out_values != nullptr) {
-        Value* out = bindings.out_values + spec.elem_begin;
-        const Int count = spec.count;
-        return sched.spawn(
-            spec.name,
-            [in, out, count](Ctx ctx) {
-              return plan_output_flat_body(ctx, in, out, count);
-            },
-            clock);
-      }
       const NetworkPlan* p = bindings.plan;
       IndexedStore* store = bindings.store;
       return sched.spawn(
           spec.name,
           [in, p, pi, store](Ctx ctx) {
-            return plan_output_store_body(ctx, in, p, pi, store);
+            return plan_output_body(ctx, in, p, pi, store);
           },
           clock);
     }

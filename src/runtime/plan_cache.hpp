@@ -139,11 +139,15 @@ struct BytecodeProgram; // runtime/bytecode.hpp
 ///   * plan level — one expanded NetworkPlan per (template, sizes), under
 ///     LRU eviction against a configurable byte budget measured with
 ///     NetworkPlan::memory_bytes(). A never-seen size costs one integer
-///     expansion instead of a full symbolic derivation.
+///     expansion instead of a full symbolic derivation. A plan's lowered
+///     bytecode program (runtime/bytecode.hpp) lives in the same entry:
+///     it is lowered at most once per cached plan, counted in the same
+///     bytes() and budget, and evicted with its plan.
 ///
-/// Plans and templates are self-contained and handed out as shared_ptr,
-/// so entries stay valid across eviction and after the source program is
-/// destroyed.
+/// Plans, programs and templates are self-contained and handed out as
+/// shared_ptr, so entries stay valid for their holders across eviction and
+/// after the source program is destroyed. Eviction drops the cache's
+/// references to a plan and its program together.
 class PlanCache {
  public:
   /// Default byte budget: generous enough that ordinary test/bench
@@ -170,25 +174,32 @@ class PlanCache {
       const CompiledProgram& program, const LoopNest& nest,
       const PlanShape& shape, LookupStats* stats = nullptr);
 
-  /// Per-call outcome of the bytecode level, for RunMetrics reporting.
+  /// Per-call outcome of lowering, for RunMetrics reporting.
   struct BytecodeStats {
     bool hit = false;           ///< lowered program came from the cache
     std::uint64_t lower_ns = 0; ///< time spent in lower_plan (0 on hit)
   };
 
-  /// Third cache level: the lowered bytecode program of an expanded plan
-  /// (runtime/bytecode.hpp), keyed by plan identity. The entry pins the
-  /// plan's shared_ptr, so the address key can never alias a recycled
-  /// allocation while cached. Same LRU byte budget as the plan level
-  /// (accounted separately — lowered programs are tiny next to plans).
-  [[nodiscard]] std::shared_ptr<const BytecodeProgram> lookup_or_lower(
-      std::shared_ptr<const NetworkPlan> plan,
-      BytecodeStats* stats = nullptr);
+  /// A plan together with its lowered program.
+  struct Lowered {
+    std::shared_ptr<const NetworkPlan> plan;
+    std::shared_ptr<const BytecodeProgram> program;
+  };
+
+  /// lookup_or_build(), plus the plan's lowered program, lowered on first
+  /// use and kept in the plan's entry. When the plan was evicted before
+  /// its program could be attached, the program is returned uncached.
+  [[nodiscard]] Lowered lookup_or_lower(const CompiledProgram& program,
+                                        const LoopNest& nest,
+                                        const Env& sizes,
+                                        const PlanShape& shape,
+                                        LookupStats* stats = nullptr,
+                                        BytecodeStats* bc_stats = nullptr);
 
   [[nodiscard]] std::size_t bytecode_size() const;    ///< cached programs
   [[nodiscard]] std::size_t bytecode_hits() const;
   [[nodiscard]] std::size_t bytecode_misses() const;  ///< lowerings
-  [[nodiscard]] std::size_t bytecode_evictions() const;
+  /// Bytes of the cached programs (a share of bytes()).
   [[nodiscard]] std::size_t bytecode_bytes() const;
   /// Cumulative nanoseconds spent lowering plans to bytecode.
   [[nodiscard]] std::uint64_t lower_ns() const;
@@ -199,9 +210,10 @@ class PlanCache {
   [[nodiscard]] std::size_t template_hits() const;
   [[nodiscard]] std::size_t template_compiles() const;
   [[nodiscard]] std::size_t evictions() const;
-  [[nodiscard]] std::size_t bytes() const;  ///< current plan bytes held
+  /// Bytes held: cached plans plus their lowered programs.
+  [[nodiscard]] std::size_t bytes() const;
   [[nodiscard]] std::size_t byte_budget() const;
-  /// Resize the plan-level byte budget, evicting LRU entries down to the
+  /// Resize the byte budget, evicting LRU entries down to the
   /// new budget immediately. Shrinking is the service's memory-pressure
   /// degradation lever: handed-out shared_ptrs stay valid (eviction only
   /// drops the cache's reference) and templates are never evicted, so a
@@ -216,21 +228,14 @@ class PlanCache {
   struct PlanEntry {
     std::string key;
     std::shared_ptr<const NetworkPlan> plan;
-    std::size_t bytes = 0;
-  };
-
-  struct BytecodeEntry {
-    const NetworkPlan* key = nullptr;
-    std::shared_ptr<const NetworkPlan> plan;  ///< pins the key's identity
-    std::shared_ptr<const BytecodeProgram> program;
-    std::size_t bytes = 0;
+    std::size_t bytes = 0;  ///< plan bytes plus program_bytes
+    std::shared_ptr<const BytecodeProgram> program;  ///< null until lowered
+    std::size_t program_bytes = 0;
   };
 
   /// Evict LRU entries until bytes_ <= budget_ (keeps >= 1 entry).
   /// Caller holds mu_.
   void evict_to_budget_locked();
-  /// Same, for the bytecode level's own byte accounting.
-  void evict_bytecode_locked();
 
   std::size_t budget_;
   mutable std::mutex mu_;
@@ -245,13 +250,11 @@ class PlanCache {
   std::size_t template_compiles_ = 0;
   std::size_t evictions_ = 0;
   std::uint64_t expand_ns_ = 0;
-  /// Bytecode level: LRU list (most-recent first) + address index.
-  std::list<BytecodeEntry> bc_lru_;
-  std::map<const NetworkPlan*, std::list<BytecodeEntry>::iterator> bc_index_;
-  std::size_t bc_bytes_ = 0;
+  /// Programs held in entries, and their share of bytes_.
+  std::size_t programs_ = 0;
+  std::size_t program_bytes_ = 0;
   std::size_t bc_hits_ = 0;
   std::size_t bc_misses_ = 0;
-  std::size_t bc_evictions_ = 0;
   std::uint64_t lower_ns_ = 0;
 };
 
@@ -262,15 +265,21 @@ class PlanCache {
     const PlanShape& shape, PlanCache* cache,
     PlanCache::LookupStats* stats = nullptr);
 
+/// plan_for() plus the plan's lowered program: through `cache` when one is
+/// given, else freshly built and lowered.
+[[nodiscard]] PlanCache::Lowered lowered_for(
+    const CompiledProgram& program, const LoopNest& nest, const Env& sizes,
+    const PlanShape& shape, PlanCache* cache,
+    PlanCache::LookupStats* stats = nullptr,
+    PlanCache::BytecodeStats* bc_stats = nullptr);
+
 /// Per-run bindings for the plan's process bodies: where input values
-/// come from and where extracted ones go. Exactly one of `out_values`
-/// (fast path: flat buffer, committed after the run) and `store`
-/// (instrumented path: write-through, preserving partial results on
-/// faulted runs) is used by output processes.
+/// come from and where extracted ones go. Output processes write each
+/// value through to `store` as it arrives, so a run that fails part way
+/// leaves the outputs it did extract observable.
 struct PlanBindings {
   const NetworkPlan* plan = nullptr;
   const Value* in_values = nullptr;  ///< aligned with plan->elems
-  Value* out_values = nullptr;       ///< aligned with plan->elems
   IndexedStore* store = nullptr;
   Trace* trace = nullptr;
 };

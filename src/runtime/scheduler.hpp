@@ -15,23 +15,23 @@
 // clocks are driven purely by the dataflow, so round-level perturbations
 // never change results or makespan — only the interleaving.
 //
-// Execution takes one of two paths through run():
-//   * the FAST path, taken when no fault injector and no watchdog are
-//     configured: a tight resume loop with no fault hooks, no blocked-on
-//     diagnostics strings and no stall/delay bookkeeping. Single sends and
-//     receives keep their CommOp inline in the awaiter (inside the
-//     coroutine frame — no heap allocation per communication), and par
-//     sets can reuse caller-owned op storage across awaits. The whole
-//     per-operation machinery — issue, rendezvous match, park — is
-//     defined inline in this header so it compiles into the coroutine
-//     bodies themselves (no out-of-line call per communication).
-//   * the INSTRUMENTED path, taken whenever faults or a watchdog are
-//     attached: behaviourally identical to the pre-fast-path scheduler,
-//     with per-round fault release, stall service, starvation checks and
-//     human-readable blocked-on state for the forensics layer. Its
-//     awaiter halves live out of line in scheduler.cpp.
-// Both paths count rounds with the same batch boundaries, so a clean run
-// reports the same round count on either path.
+// run() is one loop. Per round it releases held work, checks the
+// watchdog bounds and the wall-clock deadline, services injected stalls
+// and kills, and resumes the round's batch. With nothing attached these
+// hooks are a few untaken branches, so clean runs pay almost nothing for
+// them. Single sends and receives keep their CommOp inline in the awaiter
+// (inside the coroutine frame, with no heap allocation per
+// communication), and par sets can reuse caller-owned op storage across
+// awaits. The per-operation machinery (issue, rendezvous match, park) is
+// defined inline in this header, so it compiles into the coroutine
+// bodies themselves. Injected transfer delays are rolled only when a
+// fault injector is attached. Deadlock forensics read the channels'
+// parked-op lists (runtime/watchdog), so a suspend records nothing else.
+//
+// Clean runs take the bytecode VM (runtime/vm) by default; this engine
+// runs what the VM cannot (buffered channels, merged buffers,
+// partitioning, tracing, faults, starvation bounds) and is the
+// differential reference under Backend::Interp.
 //
 // Every run executes on the calling thread. Thread parallelism lives one
 // layer up, in the bytecode VM's SoA batch lanes (runtime/vm), which
@@ -106,9 +106,6 @@ struct Process {
   bool finished = false;
   bool in_ready_queue = false;
   std::exception_ptr error;
-  /// What the process is blocked on, for deadlock diagnostics
-  /// (instrumented path only; the fast path leaves it empty).
-  std::string blocked_on;
   Int sends = 0;
   Int recvs = 0;
   Int statements = 0;
@@ -188,10 +185,9 @@ class CommAwaiter {
   void await_resume();
 
  private:
-  /// Instrumented halves (fault rolls, blocked-on diagnostics) live out
-  /// of line in scheduler.cpp; the fast path never calls them.
-  [[nodiscard]] bool ready_instrumented();
-  void suspend_instrumented();
+  /// Roll an injected delay for every op of the set (out of line in
+  /// scheduler.cpp; called only with a fault injector attached).
+  void roll_delays();
 
   Ctx ctx_;
   std::vector<CommOp> owned_;
@@ -338,18 +334,12 @@ class Scheduler {
   /// injector must outlive the run.
   void set_fault_injector(FaultInjector* injector) noexcept {
     injector_ = injector;
-    refresh_mode();
   }
   [[nodiscard]] FaultInjector* injector() const noexcept { return injector_; }
 
   void set_watchdog(const WatchdogConfig& config) noexcept {
     watchdog_ = config;
-    refresh_mode();
   }
-
-  /// True when faults or a watchdog are attached: run() then takes the
-  /// instrumented path and awaiters record blocked-on diagnostics.
-  [[nodiscard]] bool instrumented() const noexcept { return instrumented_; }
 
   /// Hold a parked-to-be op out of its channel for `delay` rounds
   /// (injected transfer delay); called from the comm awaiter.
@@ -385,15 +375,8 @@ class Scheduler {
  private:
   /// Injector spawn hook + initial enqueue (out-of-line half of spawn).
   void finish_spawn(Process& ref);
-  void refresh_mode() noexcept {
-    instrumented_ = injector_ != nullptr || watchdog_.max_rounds > 0 ||
-                    watchdog_.max_blocked_rounds > 0 ||
-                    watchdog_.cancel != nullptr;
-  }
-  /// The zero-overhead resume loop (no faults, no watchdog).
-  void run_fast();
-  /// The fully instrumented loop (fault release, stall service, watchdog).
-  void run_instrumented();
+  /// Raise Error(Timeout) when a round budget or the deadline has passed.
+  void check_budgets();
   /// Re-queue stalled processes and re-offer delayed ops whose release
   /// round has arrived.
   void release_due();
@@ -412,15 +395,13 @@ class Scheduler {
   std::multimap<Int, CommOp*> delayed_;   ///< release round -> held op
   FaultInjector* injector_ = nullptr;
   WatchdogConfig watchdog_;
-  bool instrumented_ = false;
   Int round_ = 0;
 };
 
 // ---------------------------------------------------------------------
-// Inline fast path. Everything below is the per-communication machinery
-// of the zero-overhead loop; defining it here lets it compile directly
-// into the coroutine bodies (measured ~35% of relay-chain time was spent
-// crossing these as out-of-line calls).
+// Inline per-communication machinery. Defining it here lets it compile
+// directly into the coroutine bodies (measured ~35% of relay-chain time
+// was spent crossing these as out-of-line calls).
 
 inline void Channel::complete_counterpart(CommOp& op, Value v, Int time) {
   // `op` is a *parked* op of another process: finish it at logical time
@@ -530,11 +511,13 @@ inline bool CommAwaiter::await_ready() {
     op.done = false;
     op.fault_delay = 0;
   }
-  if (sched->injector() != nullptr) return ready_instrumented();
+  // A delayed op is forced to suspend and is offered to its channel only
+  // after the delay elapses (await_suspend hands it to the scheduler).
+  if (sched->injector() != nullptr) roll_delays();
   bool all = true;
   for (std::size_t i = 0; i < count_; ++i) {
     CommOp& op = ops_[i];
-    if (!op.chan->try_complete(op)) all = false;
+    if (op.fault_delay > 0 || !op.chan->try_complete(op)) all = false;
   }
   return all;
 }
@@ -542,24 +525,24 @@ inline bool CommAwaiter::await_ready() {
 inline void CommAwaiter::await_suspend(std::coroutine_handle<> h) {
   (void)h;  // the scheduler resumes via the process handle
   Process& p = ctx_.process();
-  if (p.sched->instrumented()) {
-    suspend_instrumented();
-    return;
-  }
-  // Fast path: count and park, no diagnostics strings, no fault state.
   p.pending = 0;
   for (std::size_t i = 0; i < count_; ++i) {
     CommOp& op = ops_[i];
     if (op.done) continue;
     ++p.pending;
-    op.chan->park(op);
+    if (op.fault_delay > 0) {
+      p.sched->defer_op(op, op.fault_delay);
+    } else {
+      op.chan->park(op);
+    }
   }
+  // Transfers completed after parking (by partners) decrement `pending`;
+  // the partner's completion path re-queues this process at zero.
 }
 
 inline void CommAwaiter::await_resume() {
   // A par set completes only when its slowest member does; the per-op
   // times were already folded into the process clock.
-  ctx_.process().blocked_on.clear();
 }
 
 inline CommOp Ctx::send_op(Channel& chan, Value v) const {

@@ -82,7 +82,7 @@ class Vm {
     }
   }
 
-  VmResult run(const VmRunOptions& opt) {
+  VmResult run(const WatchdogConfig& watchdog) {
     const std::size_t nprocs = procs_.size();
     ready_.reserve(nprocs);
     batch_.reserve(nprocs);
@@ -94,19 +94,18 @@ class Vm {
     }
     Int round = 0;
     while (!ready_.empty()) {
-      if (opt.cancel != nullptr &&
-          opt.cancel->load(std::memory_order_relaxed)) {
-        raise_vm_stall(opt.cancel_reason, opt.cancel_kind);
-      }
-      if (opt.max_rounds > 0 && round >= opt.max_rounds) {
+      if (watchdog.max_rounds > 0 && round >= watchdog.max_rounds) {
         raise_vm_stall("watchdog: round budget of " +
-                           std::to_string(opt.max_rounds) +
+                           std::to_string(watchdog.max_rounds) +
                            " exhausted (livelock?)",
                        ErrorKind::Timeout);
       }
-      // One round = the ready entries present at round start (the fast
+      if (watchdog.past_deadline()) {
+        raise_vm_stall(watchdog.deadline_reason(), ErrorKind::Timeout);
+      }
+      // One round = the ready entries present at round start (the
       // scheduler's double-buffered batch boundary), so scheduler_rounds
-      // matches the interpreted paths bit for bit.
+      // matches the interpreter bit for bit.
       std::swap(ready_, batch_);
       for (std::uint32_t pid : batch_) {
         VmProc& p = procs_[pid];
@@ -502,18 +501,20 @@ void Vm::raise_vm_stall(const std::string& reason, ErrorKind kind) const {
 VmResult run_vm(const BytecodeProgram& prog, const NetworkPlan& plan,
                 const Value* in, Value* out, std::size_t lane_stride,
                 std::size_t lane_begin, std::size_t lane_end,
-                const VmRunOptions& opt) {
+                const WatchdogConfig& watchdog) {
   Vm vm(prog, plan, in, out, lane_stride, lane_begin, lane_end);
-  return vm.run(opt);
+  return vm.run(watchdog);
 }
 
 VmResult run_vm_batched(const BytecodeProgram& prog, const NetworkPlan& plan,
                         const Value* in, Value* out, std::size_t lanes,
                         unsigned threads, WorkerPool* pool,
-                        const VmRunOptions& opt) {
+                        const WatchdogConfig& watchdog) {
   const auto workers = static_cast<unsigned>(
       std::min<std::size_t>(threads == 0 ? 1 : threads, lanes));
-  if (workers <= 1) return run_vm(prog, plan, in, out, lanes, 0, lanes, opt);
+  if (workers <= 1) {
+    return run_vm(prog, plan, in, out, lanes, 0, lanes, watchdog);
+  }
   // Contiguous lane chunks; every chunk runs the full schedule over its
   // own lanes with private scalar state, so chunks never synchronize.
   std::vector<std::pair<std::size_t, std::size_t>> chunks;
@@ -537,7 +538,7 @@ VmResult run_vm_batched(const BytecodeProgram& prog, const NetworkPlan& plan,
          c < workers; c = next.fetch_add(1, std::memory_order_relaxed)) {
       try {
         VmResult r = run_vm(prog, plan, in, out, lanes, chunks[c].first,
-                            chunks[c].second, opt);
+                            chunks[c].second, watchdog);
         if (c == 0) first = std::move(r);
       } catch (...) {
         errors[c] = std::current_exception();

@@ -1,7 +1,11 @@
 // The bytecode VM: threaded-dispatch execution of a lowered NetworkPlan
-// (runtime/bytecode.hpp), bit-identical to the coroutine fast path.
+// (runtime/bytecode.hpp), bit-identical to the coroutine scheduler. It is
+// the engine of every clean run: Backend::Auto sends every run the VM can
+// carry here, solo or batched, and keeps the coroutine scheduler for
+// buffered channels, merged buffers, partitioning, tracing, faults and
+// starvation bounds (see runtime/instantiate.hpp).
 //
-// Identity argument: the VM replicates the fast scheduler's observable
+// Identity argument: the VM replicates the scheduler's observable
 // semantics op for op —
 //   * the same FIFO double-buffered round structure (one round = the
 //     ready entries present at round start; initial queue = spawn order),
@@ -10,7 +14,7 @@
 //     before any op is attempted, then attempt in set order),
 //   * the same statement tick (+1 after each basic statement),
 // so results, makespan, per-channel transfer counts, statement counts AND
-// scheduler_rounds all match the interpreted fast path exactly. The
+// scheduler_rounds all match the interpreter exactly. The
 // differential suite (tests/integration/test_bytecode_differential.cpp)
 // asserts this across the whole design catalog.
 //
@@ -33,27 +37,15 @@
 // synchronization is needed beyond the final join.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "runtime/bytecode.hpp"
-#include "support/error.hpp"
+#include "runtime/watchdog.hpp"
 
 namespace systolize {
 
 class WorkerPool;
-
-struct VmRunOptions {
-  /// Round budget (0 = unbounded); trips Error(Timeout) like the
-  /// instrumented scheduler's watchdog.
-  Int max_rounds = 0;
-  /// External cancellation token, polled at round boundaries.
-  const std::atomic<bool>* cancel = nullptr;
-  std::string cancel_reason = "externally cancelled";
-  ErrorKind cancel_kind = ErrorKind::Cancelled;
-};
 
 /// Schedule metrics of one VM run. All fields are schedule properties,
 /// identical across lanes (and across lane chunks of a batched run).
@@ -69,13 +61,14 @@ struct VmResult {
 /// of instance-major buffers with `lane_stride` total lanes: element e of
 /// lane l lives at in[e * lane_stride + l] / out[e * lane_stride + l],
 /// both aligned with plan.elems. Throws Error(Runtime) with a forensic
-/// DeadlockReport on stall, Error(Timeout) on budget exhaustion, and
-/// `opt.cancel_kind` on cancellation.
+/// DeadlockReport on stall and Error(Timeout) when `watchdog`'s round
+/// budget or wall-clock deadline passes (its starvation bound is not
+/// supported; execute() routes such runs to the coroutine scheduler).
 [[nodiscard]] VmResult run_vm(const BytecodeProgram& prog,
                               const NetworkPlan& plan, const Value* in,
                               Value* out, std::size_t lane_stride,
                               std::size_t lane_begin, std::size_t lane_end,
-                              const VmRunOptions& opt = {});
+                              const WatchdogConfig& watchdog = {});
 
 /// Batched driver: run all `lanes` lanes, splitting them into contiguous
 /// chunks across up to `threads` workers (worker 0 is the calling
@@ -87,6 +80,6 @@ struct VmResult {
                                       const Value* in, Value* out,
                                       std::size_t lanes, unsigned threads,
                                       WorkerPool* pool,
-                                      const VmRunOptions& opt = {});
+                                      const WatchdogConfig& watchdog = {});
 
 }  // namespace systolize

@@ -10,7 +10,7 @@
 // (the Error's diagnostic payload).
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -21,10 +21,9 @@ namespace systolize {
 
 class Scheduler;
 
-/// Progress bounds enforced by the scheduler each round. Zero disables a
-/// bound. With both disabled and no cancel token the scheduler behaves
-/// exactly as before: stalls are only detected when the ready queue
-/// drains.
+/// Progress bounds enforced by the scheduler and the VM at every round
+/// boundary. Zero (or an unset deadline) disables a bound. With all of
+/// them disabled, stalls are only detected when the ready queue drains.
 struct WatchdogConfig {
   /// Abort when the scheduler exceeds this many cooperative rounds
   /// (livelock guard: a finite program on a finite network bounds its
@@ -35,19 +34,26 @@ struct WatchdogConfig {
   /// guard). Must exceed any injected stall/delay duration, which park a
   /// process legitimately.
   Int max_blocked_rounds = 0;
-  /// External cancellation token: when non-null and set, the run aborts
-  /// at the next round boundary with Error(cancel_kind) and a full
-  /// forensic report of where every process stood. This is how wall-clock
-  /// deadlines reach the scheduler — a timer thread sets the flag, the
-  /// scheduler notices between rounds (it never blocks inside a round, so
-  /// the check granularity is one cooperative round). The pointee must
-  /// outlive the run.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Reason string reported when `cancel` fires (e.g. the deadline that
-  /// expired); kind classifies it — Timeout for deadlines (retryable),
-  /// Cancelled for shutdown (terminal).
-  std::string cancel_reason = "externally cancelled";
-  ErrorKind cancel_kind = ErrorKind::Cancelled;
+  /// Wall-clock deadline: once steady_clock passes `deadline`, the run
+  /// aborts at the next round boundary with Error(Timeout) and a full
+  /// forensic report of where every process stood. `deadline_ms` is the
+  /// budget it was set from (0 = no deadline); the message names it.
+  std::chrono::steady_clock::time_point deadline{};
+  Int deadline_ms = 0;
+
+  /// Arm the deadline `ms` milliseconds from now (ms <= 0 disarms it).
+  void set_deadline(Int ms) {
+    deadline_ms = ms > 0 ? ms : 0;
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::milliseconds(deadline_ms);
+  }
+  [[nodiscard]] bool past_deadline() const {
+    return deadline_ms > 0 && std::chrono::steady_clock::now() >= deadline;
+  }
+  [[nodiscard]] std::string deadline_reason() const {
+    return "wall-clock deadline of " + std::to_string(deadline_ms) +
+           "ms exceeded";
+  }
 };
 
 /// Reconstruct the stall state: every parked/held op per blocked process,
@@ -60,10 +66,9 @@ struct WatchdogConfig {
 
 /// Build the report and raise Error(kind) with the human-readable
 /// rendering as the message and the JSON rendering as the diagnostic.
-/// Genuine protocol stalls are ErrorKind::Runtime; watchdog budget trips
-/// raise Timeout and external cancellation raises the token's kind, so
-/// callers (and the service's retry policy) can tell a deadline from a
-/// deadlock without string-matching.
+/// Genuine protocol stalls are ErrorKind::Runtime; watchdog budget and
+/// deadline trips raise Timeout, so callers (and the service's retry
+/// policy) can tell a deadline from a deadlock without string-matching.
 [[noreturn]] void raise_stall(const Scheduler& sched, std::string reason,
                               ErrorKind kind = ErrorKind::Runtime);
 

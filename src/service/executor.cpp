@@ -4,6 +4,7 @@
 #include <chrono>
 #include <new>
 #include <sstream>
+#include <thread>
 
 #include "analysis/cost.hpp"
 #include "analysis/verify.hpp"
@@ -77,31 +78,6 @@ Response error_response(const Request& req, const Error& e, Int retries) {
 }
 
 }  // namespace
-
-void DeadlineTimer::arm(Int ms) {
-  if (ms <= 0) return;
-  disarm();
-  fired_.store(false, std::memory_order_relaxed);
-  stop_ = false;
-  thread_ = std::thread([this, ms] {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (cv_.wait_for(lock, std::chrono::milliseconds(ms),
-                     [this] { return stop_; })) {
-      return;  // disarmed before the deadline
-    }
-    fired_.store(true, std::memory_order_relaxed);
-  });
-}
-
-void DeadlineTimer::disarm() {
-  if (!thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-}
 
 Executor::Executor(ExecutorConfig config)
     : config_(config),
@@ -270,26 +246,19 @@ Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
     iopt.threads = threads;
     iopt.worker_pool = &pool_;
   }
-  DeadlineTimer deadline;
   iopt.watchdog.max_rounds =
       req.round_budget > 0 ? req.round_budget : config_.default_round_budget;
-  const Int wall_ms = req.wall_timeout_ms > 0 ? req.wall_timeout_ms
-                                              : config_.default_wall_timeout_ms;
-  if (wall_ms > 0) {
-    deadline.arm(wall_ms);
-    iopt.watchdog.cancel = deadline.token();
-    iopt.watchdog.cancel_kind = ErrorKind::Timeout;
-    iopt.watchdog.cancel_reason =
-        "wall-clock deadline of " + std::to_string(wall_ms) + "ms exceeded";
-  }
+  iopt.watchdog.set_deadline(req.wall_timeout_ms > 0
+                                 ? req.wall_timeout_ms
+                                 : config_.default_wall_timeout_ms);
 
   const std::size_t batch = static_cast<std::size_t>(req.batch);
 
   if (batch > 1 && iopt.faults != nullptr) {
     // Faulted batches have per-instance semantics: a kill is a verdict
     // for ONE instance, never for the batch. Replay each instance
-    // through the instrumented engine with its own derived fault seed
-    // and report a verdict per instance in the data payload.
+    // through the interpreter with its own derived fault seed and report
+    // a verdict per instance in the data payload.
     std::ostringstream instances;
     std::size_t failures = 0;
     Int faults_total = 0;
@@ -330,7 +299,6 @@ Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
       if (!detail.empty()) instances << ",\"message\":" << json_quote(detail);
       instances << '}';
     }
-    deadline.disarm();
     Response r;
     r.id = req.id;
     r.op = req.op;
@@ -352,7 +320,6 @@ Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
     }
     RunMetrics metrics = execute_batch(ce.prog, ce.design.nest, sizes,
                                        stores.data(), batch, iopt);
-    deadline.disarm();
     note_run_metrics(metrics);
     if (req.verify) {
       for (std::size_t b = 0; b < batch; ++b) {
@@ -381,7 +348,6 @@ Response Executor::run_attempt(const CompiledEntry& ce, const Request& req) {
   IndexedStore store = seeded_store(ce.design, sizes);
   IndexedStore expected = store;
   RunMetrics metrics = execute(ce.prog, ce.design.nest, sizes, store, iopt);
-  deadline.disarm();
   note_run_metrics(metrics);
 
   if (req.verify) {
@@ -481,24 +447,15 @@ std::vector<Response> Executor::group_attempt(
     iopt.threads = threads;
     iopt.worker_pool = &pool_;
   }
-  DeadlineTimer deadline;
   iopt.watchdog.max_rounds = proto.round_budget > 0
                                  ? proto.round_budget
                                  : config_.default_round_budget;
-  const Int wall_ms = proto.wall_timeout_ms > 0
-                          ? proto.wall_timeout_ms
-                          : config_.default_wall_timeout_ms;
-  if (wall_ms > 0) {
-    deadline.arm(wall_ms);
-    iopt.watchdog.cancel = deadline.token();
-    iopt.watchdog.cancel_kind = ErrorKind::Timeout;
-    iopt.watchdog.cancel_reason =
-        "wall-clock deadline of " + std::to_string(wall_ms) + "ms exceeded";
-  }
+  iopt.watchdog.set_deadline(proto.wall_timeout_ms > 0
+                                 ? proto.wall_timeout_ms
+                                 : config_.default_wall_timeout_ms);
 
   RunMetrics metrics = execute_batch(ce->prog, ce->design.nest, sizes,
                                      stores.data(), lanes, iopt);
-  deadline.disarm();
   note_run_metrics(metrics);
 
   if (proto.verify) {
@@ -672,7 +629,6 @@ std::string Executor::stats_json() const {
      << ",\"bytecode_programs\":" << plan_cache_.bytecode_size()
      << ",\"bytecode_hits\":" << plan_cache_.bytecode_hits()
      << ",\"bytecode_misses\":" << plan_cache_.bytecode_misses()
-     << ",\"bytecode_evictions\":" << plan_cache_.bytecode_evictions()
      << ",\"bytecode_bytes\":" << plan_cache_.bytecode_bytes() << '}';
   os << ",\"degradation\":" << degradation_.to_json();
   if (queue_ != nullptr) {

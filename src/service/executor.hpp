@@ -6,10 +6,10 @@
 // parse errors, validation, watchdog trips, wall-clock deadlines,
 // injected faults, even std::bad_alloc — is caught at this boundary and
 // classified into an error Response (stable ErrorKind name + retryable
-// bit + forensic diagnostic when one exists). A wedged run is cancelled
-// by the deadline timer through the scheduler's cooperative cancel token
-// and reported with its DeadlockReport; the worker thread survives to
-// take the next job.
+// bit + forensic diagnostic when one exists). A wedged run trips its
+// wall-clock deadline, taken at attempt start and compared by the engine
+// at every round boundary, and is reported with its DeadlockReport; the
+// worker thread survives to take the next job.
 //
 // Retry policy: failures whose kind is retryable (error_kind_retryable)
 // are re-attempted up to `max_retries` times with capped exponential
@@ -21,12 +21,10 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "designs/catalog.hpp"
@@ -43,33 +41,6 @@ struct RunMetrics;
 namespace systolize::service {
 
 class RequestQueue;
-
-/// One-shot wall-clock deadline: arm(ms) starts a timer thread that sets
-/// the cancel token when the deadline passes; the scheduler polls the
-/// token at round boundaries (WatchdogConfig::cancel) and turns it into a
-/// structured Error. Destruction (or disarm) joins the thread without
-/// firing. One timer per run attempt.
-class DeadlineTimer {
- public:
-  DeadlineTimer() = default;
-  ~DeadlineTimer() { disarm(); }
-  DeadlineTimer(const DeadlineTimer&) = delete;
-  DeadlineTimer& operator=(const DeadlineTimer&) = delete;
-
-  void arm(Int ms);
-  void disarm();
-  [[nodiscard]] const std::atomic<bool>* token() const { return &fired_; }
-  [[nodiscard]] bool fired() const {
-    return fired_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<bool> fired_{false};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
 
 struct ExecutorConfig {
   /// Watchdog round budget applied when the request does not choose one

@@ -157,7 +157,9 @@ TEST(GuardedBody, ShippedBandedMatmulDifferentialAcrossBackends) {
   IndexedStore byte = expected;
   run_sequential(d.nest, sizes, expected);
 
-  (void)execute(prog, d.nest, sizes, fast);
+  InstantiateOptions interp;
+  interp.backend = Backend::Interp;
+  (void)execute(prog, d.nest, sizes, fast, interp);
   InstantiateOptions wd;
   wd.watchdog.max_rounds = Int{1} << 40;
   (void)execute(prog, d.nest, sizes, inst, wd);

@@ -1,13 +1,13 @@
 // Differential suite for the bytecode backend (runtime/bytecode +
 // runtime/vm): on every catalog design the lowered VM must be
-// bit-identical to the interpreted fast path — results, makespan,
+// bit-identical to the coroutine interpreter — results, makespan,
 // transfer counts, statement counts AND scheduler rounds — because both
 // engines implement the same dataflow-clock semantics over the same
 // round structure. SoA batching must additionally reproduce, per lane,
 // exactly what a per-instance sequential run produces.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
 
 #include "baseline/sequential.hpp"
 #include "designs/catalog.hpp"
@@ -61,6 +61,13 @@ InstantiateOptions bytecode_opt(InstantiateOptions opt = {}) {
   return opt;
 }
 
+/// The reference engine. Auto would pick the VM for these clean runs.
+InstantiateOptions interp_opt() {
+  InstantiateOptions opt;
+  opt.backend = Backend::Interp;
+  return opt;
+}
+
 class BytecodeDifferential : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BytecodeDifferential, BytecodeMatchesInterpBitForBit) {
@@ -70,7 +77,8 @@ TEST_P(BytecodeDifferential, BytecodeMatchesInterpBitForBit) {
     Env sizes = sizes_for(design, n, std::max<Int>(1, n - 1));
     IndexedStore interp_store = seeded(design, sizes);
     IndexedStore vm_store = interp_store;
-    RunMetrics interp = execute(prog, design.nest, sizes, interp_store, {});
+    RunMetrics interp =
+        execute(prog, design.nest, sizes, interp_store, interp_opt());
     RunMetrics vm =
         execute(prog, design.nest, sizes, vm_store, bytecode_opt());
     expect_same_stores(design, interp_store, vm_store, GetParam());
@@ -110,7 +118,7 @@ TEST_P(BytecodeDifferential, BatchedLanesMatchPerInstanceRuns) {
     // Ground truth per lane: the paper-order sequential loop nest, plus
     // the interpreted engine for the schedule metrics.
     IndexedStore interp_store = expected[l];
-    single = execute(prog, design.nest, sizes, interp_store, {});
+    single = execute(prog, design.nest, sizes, interp_store, interp_opt());
     run_sequential(design.nest, sizes, expected[l]);
     expect_same_stores(design, lanes[l], expected[l],
                        GetParam() + " lane " + std::to_string(l));
@@ -283,15 +291,19 @@ TEST(BytecodeValidation, RoundBudgetAndCancelAreEnforced) {
     }
   }
   {
-    std::atomic<bool> cancel{true};
+    // A deadline already in the past trips at the first round boundary,
+    // naming the wall-clock budget.
     IndexedStore store = seeded(design, sizes);
     InstantiateOptions opt = bytecode_opt();
-    opt.watchdog.cancel = &cancel;
+    opt.watchdog.set_deadline(1);
+    opt.watchdog.deadline -= std::chrono::seconds(1);
     try {
       (void)execute(prog, design.nest, sizes, store, opt);
-      FAIL() << "expected Error(Cancelled)";
+      FAIL() << "expected Error(Timeout)";
     } catch (const Error& e) {
-      EXPECT_EQ(e.kind(), ErrorKind::Cancelled);
+      EXPECT_EQ(e.kind(), ErrorKind::Timeout);
+      EXPECT_NE(std::string(e.what()).find("wall-clock deadline of 1ms"),
+                std::string::npos);
     }
   }
 }
@@ -332,7 +344,9 @@ TEST(BytecodeCache, ShrinkingTheBudgetEvictsLoweredPrograms) {
   EXPECT_EQ(cache.bytecode_size(), 3u);
   cache.set_byte_budget(1);
   EXPECT_EQ(cache.bytecode_size(), 1u);
-  EXPECT_EQ(cache.bytecode_evictions(), 2u);
+  // Programs leave with their plans.
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.evictions(), 2u);
   // Evicted programs must be re-lowered, not mis-served.
   Env sizes{{"n", Rational(2)}};
   IndexedStore store = seeded(design, sizes);

@@ -1,9 +1,9 @@
-// Differential suite for the interpreter's two paths: the zero-overhead
-// fast path (no faults, no watchdog) and the instrumented path (any
-// fault/watchdog attachment forces it). Both must produce bit-identical
-// results, makespans, transfer counts and scheduler rounds (same batch
-// boundaries). A solo run asking for threads stays on the calling thread
-// and is the sequential fast path exactly.
+// Differential suite for watchdog-attached runs: a run with a
+// never-tripping watchdog on the default engine (the VM for clean runs,
+// the interpreter for buffered or merged variants) must be bit-identical
+// to the plain coroutine interpreter — results, makespans, transfer
+// counts and scheduler rounds (same batch boundaries). A solo run asking
+// for threads stays on the calling thread and matches a run without.
 #include <gtest/gtest.h>
 
 #include "baseline/sequential.hpp"
@@ -38,10 +38,17 @@ IndexedStore seeded(const Design& design, const Env& sizes) {
                             });
 }
 
-/// An attached (but never-firing) watchdog is the cheapest way to force
-/// the instrumented path without changing observable behaviour.
+/// An attached (but never-firing) watchdog: a round budget and a
+/// wall-clock deadline, as the serve daemon runs every request.
 InstantiateOptions instrumented(InstantiateOptions opt = {}) {
   opt.watchdog.max_rounds = Int{1} << 40;
+  opt.watchdog.set_deadline(Int{1} << 30);
+  return opt;
+}
+
+/// The reference: the plain coroutine interpreter.
+InstantiateOptions interp(InstantiateOptions opt = {}) {
+  opt.backend = Backend::Interp;
   return opt;
 }
 
@@ -62,7 +69,7 @@ TEST_P(FastPathDifferential, FastAndInstrumentedAgreeExactly) {
     Env sizes = sizes_for(design, n, std::max<Int>(1, n - 1));
     IndexedStore fast_store = seeded(design, sizes);
     IndexedStore inst_store = fast_store;
-    RunMetrics fast = execute(prog, design.nest, sizes, fast_store, {});
+    RunMetrics fast = execute(prog, design.nest, sizes, fast_store, interp());
     RunMetrics inst =
         execute(prog, design.nest, sizes, inst_store, instrumented());
     expect_same_stores(design, fast_store, inst_store, GetParam());
@@ -72,8 +79,7 @@ TEST_P(FastPathDifferential, FastAndInstrumentedAgreeExactly) {
     EXPECT_EQ(fast.transfers_per_stream, inst.transfers_per_stream)
         << GetParam();
     // Clean runs must report the same number of cooperative rounds on
-    // either path — the fault clock and the fast loop share batch
-    // boundaries by construction.
+    // either engine — both share batch boundaries by construction.
     EXPECT_EQ(fast.scheduler_rounds, inst.scheduler_rounds) << GetParam();
   }
 }
@@ -91,7 +97,8 @@ TEST_P(FastPathDifferential, FastAndInstrumentedAgreeOnVariants) {
     }
     IndexedStore fast_store = seeded(design, sizes);
     IndexedStore inst_store = fast_store;
-    RunMetrics fast = execute(prog, design.nest, sizes, fast_store, opt);
+    RunMetrics fast =
+        execute(prog, design.nest, sizes, fast_store, interp(opt));
     RunMetrics inst =
         execute(prog, design.nest, sizes, inst_store, instrumented(opt));
     expect_same_stores(design, fast_store, inst_store, GetParam());
@@ -137,7 +144,7 @@ TEST_P(FastPathDifferential, AllPathsMatchSequentialGroundTruth) {
   IndexedStore fast_store = expected;
   IndexedStore inst_store = expected;
   run_sequential(design.nest, sizes, expected);
-  (void)execute(prog, design.nest, sizes, fast_store, {});
+  (void)execute(prog, design.nest, sizes, fast_store, interp());
   (void)execute(prog, design.nest, sizes, inst_store, instrumented());
   expect_same_stores(design, fast_store, expected, "fast-vs-seq");
   expect_same_stores(design, inst_store, expected, "inst-vs-seq");
@@ -150,8 +157,8 @@ INSTANTIATE_TEST_SUITE_P(AllDesigns, FastPathDifferential,
                                            "convolution", "correlation",
                                            "fir_bank", "closure"));
 
-// `threads` bounds batch-lane workers only: a solo run is the sequential
-// fast path, metrics and all, whatever it asks for.
+// `threads` bounds batch-lane workers only: a solo run is one VM run on
+// the calling thread, metrics and all, whatever it asks for.
 TEST(SoloRun, ThreadsMatchSequentialStoreAndMetrics) {
   Design design = design_by_name("matmul1");
   CompiledProgram prog = compile(design.nest, design.spec);
@@ -163,8 +170,11 @@ TEST(SoloRun, ThreadsMatchSequentialStoreAndMetrics) {
   opt.threads = 4;
   RunMetrics solo = execute(prog, design.nest, sizes, solo_store, opt);
   expect_same_stores(design, seq_store, solo_store, "threads=4");
+  // Lowering time is a wall-clock timing; every other field must match.
+  seq.bytecode_lower_ns = 0;
+  solo.bytecode_lower_ns = 0;
   EXPECT_EQ(seq.to_json(), solo.to_json());
-  EXPECT_EQ(solo.backend, "interp");
+  EXPECT_EQ(solo.backend, "bytecode");
 }
 
 }  // namespace

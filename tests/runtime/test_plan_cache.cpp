@@ -1,16 +1,19 @@
 // PlanCache behaviour: generation-id keying (no address aliasing), LRU
-// byte-budget eviction, and thread-safety of the two cache levels —
+// byte-budget eviction of plans with their lowered programs, and
+// thread-safety of the two cache levels —
 // including the guarantee that a template is compiled exactly once per
 // (program, shape) key no matter how many threads race for it.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "baseline/sequential.hpp"
 #include "designs/catalog.hpp"
+#include "runtime/bytecode.hpp"
 #include "runtime/instantiate.hpp"
 #include "runtime/plan_template.hpp"
 #include "scheme/compiler.hpp"
@@ -124,6 +127,48 @@ TEST(PlanCache, DefaultBudgetSeesNoEvictions) {
   EXPECT_EQ(cache.evictions(), 0u);
   EXPECT_EQ(cache.size(), 7u);
   EXPECT_LT(cache.bytes(), cache.byte_budget());
+}
+
+// Plans and their lowered programs share one byte budget: everything the
+// cache evicts is freed (the cache keeps no other reference to it), and
+// what it keeps stays within the budget apart from the newest entry,
+// which is always kept.
+TEST(PlanCache, EvictedPlansAndProgramsAreFreed) {
+  Design design = design_by_name("matmul2");
+  CompiledProgram prog = compile(design.nest, design.spec);
+  const std::size_t budget = std::size_t{3} * 1024 * 1024;
+  PlanCache cache(budget);
+  InstantiateOptions opt;
+  opt.backend = Backend::Bytecode;
+  opt.plan_cache = &cache;
+  std::vector<std::weak_ptr<const NetworkPlan>> plans;
+  std::size_t newest = 0;
+  for (Int n = 2; n <= 12; ++n) {
+    const Env sizes = sizes_for(design, n);
+    IndexedStore store = make_initial_store(
+        design.nest, sizes,
+        [](const std::string&, const IntVec&) { return 1; });
+    (void)execute(prog, design.nest, sizes, store, opt);
+    const auto plan =
+        cache.lookup_or_build(prog, design.nest, sizes, PlanShape{});
+    newest = plan->memory_bytes() + lower_plan(*plan)->memory_bytes();
+    plans.push_back(plan);
+  }
+  ASSERT_GT(cache.evictions(), 0u);
+  std::size_t live = 0;
+  std::size_t held = 0;
+  for (const std::weak_ptr<const NetworkPlan>& weak : plans) {
+    if (const auto plan = weak.lock()) {
+      ++live;
+      held += plan->memory_bytes() + lower_plan(*plan)->memory_bytes();
+    }
+  }
+  EXPECT_EQ(live, cache.size()) << "an evicted plan is still allocated";
+  EXPECT_LE(held, budget + newest);
+  EXPECT_LE(cache.bytes(), budget + newest);
+  EXPECT_EQ(cache.bytecode_size(), cache.size());
+  EXPECT_GT(cache.bytecode_bytes(), 0u);
+  EXPECT_LT(cache.bytecode_bytes(), cache.bytes());
 }
 
 TEST(PlanCache, MetricsSurfaceCacheOutcomes) {

@@ -9,7 +9,7 @@
 // builder, so a match means the template path still lays every network
 // out exactly as that builder did. A deliberate layout change fails here
 // and prints the new lines; replacing the recorded ones makes the change
-// a reviewed edit of the data file. Also pins that fast/instrumented runs
+// a reviewed edit of the data file. Also pins that interpreter and VM runs
 // on an expanded plan match the sequential ground truth, and that the
 // static verifier gate accepts plans served through the template path.
 #include <gtest/gtest.h>
@@ -194,8 +194,8 @@ TEST_P(CrossSizeDifferential, ExpandMatchesBuildPlanAcrossShapes) {
 }
 
 // Executing an expanded plan (served via the cache's template path) must
-// match the sequential ground truth on the fast and instrumented engines
-// alike.
+// match the sequential ground truth on the interpreter and on the
+// default engine under a watchdog alike.
 TEST_P(CrossSizeDifferential, ExpandedPlanRunsMatchSequential) {
   Design design = gallery_design(GetParam());
   CompiledProgram prog = compile(design.nest, design.spec);
@@ -209,11 +209,12 @@ TEST_P(CrossSizeDifferential, ExpandedPlanRunsMatchSequential) {
 
     InstantiateOptions fast;
     fast.plan_cache = &cache;
+    fast.backend = Backend::Interp;
     (void)execute(prog, design.nest, sizes, fast_store, fast);
 
     InstantiateOptions inst;
     inst.plan_cache = &cache;
-    inst.watchdog.max_rounds = Int{1} << 40;  // forces instrumentation only
+    inst.watchdog.max_rounds = Int{1} << 40;  // never trips
     (void)execute(prog, design.nest, sizes, inst_store, inst);
 
     for (const Stream& s : design.nest.streams()) {

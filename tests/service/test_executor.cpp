@@ -165,12 +165,15 @@ TEST(Executor, WallClockDeadlineCancelsAWedgedRun) {
   // Injected stalls/delays advance *simulated* time — the scheduler
   // fast-forwards past them — so they cannot wedge the wall clock. What
   // the wall deadline exists for is a run that is simply too big for its
-  // budget: a large-size instrumented run takes seconds of real time
-  // while rounds keep turning, and the cancel token is polled at every
-  // round boundary.
+  // budget: a large-size run takes a long while of real time while
+  // rounds keep turning, and the deadline is compared at every round
+  // boundary. Expanding, lowering and running matmul2 at n=64 on the
+  // default engine (the VM) takes several times 20 ms even in an
+  // optimized build (expansion alone takes tens of milliseconds), so a
+  // 20 ms budget always trips.
   Request req = run_req("matmul2", 64);
   req.round_budget = 2'000'000'000;  // rounds alone would never trip
-  req.wall_timeout_ms = 150;
+  req.wall_timeout_ms = 20;
   const auto before = std::chrono::steady_clock::now();
   Response r = ex.handle(req);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -192,7 +195,7 @@ TEST(Executor, WorkerSurvivesAWedgedRunAndServesTheNext) {
   Executor ex(cfg);
   Request wedged = run_req("matmul2", 64);
   wedged.round_budget = 2'000'000'000;
-  wedged.wall_timeout_ms = 150;
+  wedged.wall_timeout_ms = 20;
   Response dead = ex.handle(wedged);
   EXPECT_EQ(dead.kind, "Timeout");
   // Fault isolation: the same executor immediately serves a clean run.

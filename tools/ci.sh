@@ -139,10 +139,10 @@ echo "=== fuzz replay: checked-in corpus must stay clean ==="
   --corpus-dir="${repo}/designs/fuzz-corpus"
 
 echo "=== fuzz smoke under ASan/UBSan ==="
-# The generator's samples reach every engine (parked-op scheduler, its
-# instrumented path, bytecode VM solo and batched) with hostile shapes the
-# curated suites never produce — a cheap way to hand the sanitizers fresh
-# input.
+# The generator's samples reach every engine (parked-op scheduler, the
+# default engine under a watchdog, bytecode VM solo and batched) with
+# hostile shapes the curated suites never produce — a cheap way to hand
+# the sanitizers fresh input.
 asan_fuzz_log="$(mktemp /tmp/systolize-ci-fuzz-asan-log-XXXXXX)"
 "${repo}/build-asan/tools/systolize" fuzz --seed=1 --count=40 \
   --corpus-dir="$(mktemp -d /tmp/systolize-ci-fuzz-asan-XXXXXX)" \

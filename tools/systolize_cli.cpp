@@ -33,11 +33,14 @@
 // directives, e.g. "seed=42;stall=0.1:4;delay=0.05:3" or
 // "kill@comp:(1)=2"); see docs/fault-model.md. --deadlock-report prints
 // the machine-readable JSON forensics payload when a run stalls.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
-#include <thread>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/cost.hpp"
@@ -77,7 +80,7 @@ int usage() {
       "                   [--threads=N] [--plan-cache-bytes=N]\n"
       "                   [--round-budget=N] [--wall-timeout-ms=N]\n"
       "                   [--backend=interp|bytecode] [--batch=N]\n"
-      "                   [--format=text|json]\n"
+      "                   [--format=text|json] [--verify-plan]\n"
       "  systolize graph  <design | file.sa> [--n=N] [--m=M]\n"
       "  systolize schedule <design | file.sa> [--n=N] [--m=M]\n"
       "  systolize verify <design | file.sa | all> [--n=N] [--m=M]\n"
@@ -103,6 +106,8 @@ int usage() {
       "                   [--round-budget=N] [--wall-timeout-ms=N]\n"
       "                   [--fail-attempts=N] [--count=N] [--retry]\n"
       "                   [--backend=interp|bytecode] [--batch=N]\n"
+      "                   [--capacity=K] [--merge-buffers] [--partition=G]\n"
+      "                   [--threads=N]\n"
       "\n"
       "see `systolize help` for exit codes and the serve protocol.\n";
   return 2;
@@ -134,7 +139,7 @@ int cmd_help() {
       "differential fuzzing (docs/static-analysis.md):\n"
       "  systolize fuzz samples random Appendix-A loop nests plus compatible\n"
       "  (step, place) designs and cross-checks the static verifier against\n"
-      "  every execution engine (interp fast path, instrumented, bytecode\n"
+      "  every execution engine (interp, bytecode with a watchdog, bytecode\n"
       "  solo and batched) and the sequential baseline. Exit 0 = the\n"
       "  oracles agreed on every sample.\n"
       "  --seed=S         campaign seed; sample #i is a pure function of\n"
@@ -312,6 +317,7 @@ bool parse_flag(const std::string& arg, Options& opt) {
   } else if (arg == "--retry") {
     opt.retry = true;
   } else if (arg == "--verify") {
+    opt.verify = true;  // run: the default, spelled out
     opt.client_verify = true;
   } else if (arg.rfind("--sizes=", 0) == 0) {
     opt.sizes_list = value_of("--sizes=");
@@ -327,6 +333,81 @@ bool parse_flag(const std::string& arg, Options& opt) {
     opt.export_path = value_of("--export=");
   } else {
     return false;
+  }
+  return true;
+}
+
+/// The flags each command reads. A flag that only other commands read
+/// is a usage error like an unknown one: an option that would silently
+/// do nothing must not look accepted.
+const std::map<std::string, std::set<std::string>>& command_flags() {
+  static const std::map<std::string, std::set<std::string>> kTable = {
+      {"report", {}},
+      {"emit", {"--syntax"}},
+      {"graph", {"--n", "--m"}},
+      {"schedule", {"--n", "--m"}},
+      {"run",
+       {"--n", "--m", "--capacity", "--partition", "--merge-buffers",
+        "--verify", "--no-verify", "--inject", "--watchdog-rounds",
+        "--watchdog-blocked", "--deadlock-report", "--threads",
+        "--plan-cache-bytes", "--round-budget", "--wall-timeout-ms",
+        "--backend", "--batch", "--format", "--verify-plan"}},
+      {"verify",
+       {"--n", "--m", "--capacity", "--partition", "--merge-buffers",
+        "--format", "--allow"}},
+      {"analyze",
+       {"--sizes", "--m", "--capacity", "--partition", "--merge-buffers",
+        "--format"}},
+      {"explore",
+       {"--coeff-range", "--sizes", "--m", "--top", "--moving-only",
+        "--same-projection", "--export", "--format"}},
+      {"fuzz",
+       {"--seed", "--count", "--no-shrink", "--corpus-dir", "--keep-rejects",
+        "--replay", "--mutate-rate", "--coeff-range", "--batch",
+        "--format"}},
+      {"serve",
+       {"--socket", "--workers", "--queue-depth", "--tenant-cap",
+        "--round-budget", "--wall-timeout-ms", "--max-retries",
+        "--plan-cache-bytes"}},
+      {"client",
+       {"--socket", "--op", "--design", "--n", "--m", "--capacity",
+        "--partition", "--merge-buffers", "--tenant", "--inject", "--verify",
+        "--round-budget", "--wall-timeout-ms", "--fail-attempts", "--count",
+        "--retry", "--backend", "--batch", "--threads"}},
+  };
+  return kTable;
+}
+
+/// Parse argv[first..argc) into `opt`, accepting only the flags `cmd`
+/// reads. Returns false (after saying why) on a usage error.
+bool parse_flags(const std::string& cmd, int first, int argc, char** argv,
+                 Options& opt) {
+  const auto& table = command_flags();
+  const std::set<std::string>& mine = table.at(cmd);
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::string name = arg.substr(0, arg.find('='));
+    if (!mine.contains(name)) {
+      const bool known = std::any_of(
+          table.begin(), table.end(),
+          [&name](const auto& entry) { return entry.second.contains(name); });
+      if (known) {
+        std::cerr << "flag '" << name << "' is not used by '" << cmd
+                  << "'\n";
+      } else {
+        std::cerr << "unknown flag '" << arg << "'\n";
+      }
+      return false;
+    }
+    try {
+      if (!parse_flag(arg, opt)) {
+        std::cerr << "unknown flag '" << arg << "'\n";
+        return false;
+      }
+    } catch (const std::logic_error&) {  // std::stoll: not a number
+      std::cerr << "invalid value in '" << arg << "'\n";
+      return false;
+    }
   }
   return true;
 }
@@ -501,17 +582,9 @@ int cmd_run(const Design& design, const Options& opt) {
        opt.round_budget < iopt.watchdog.max_rounds)) {
     iopt.watchdog.max_rounds = opt.round_budget;
   }
-  // --wall-timeout-ms arms a deadline timer whose token the scheduler
-  // polls at round boundaries; expiry raises Error(Timeout) → exit 3.
-  service::DeadlineTimer deadline;
-  if (opt.wall_timeout_ms > 0) {
-    deadline.arm(opt.wall_timeout_ms);
-    iopt.watchdog.cancel = deadline.token();
-    iopt.watchdog.cancel_kind = ErrorKind::Timeout;
-    iopt.watchdog.cancel_reason = "wall-clock deadline of " +
-                                  std::to_string(opt.wall_timeout_ms) +
-                                  "ms exceeded";
-  }
+  // --wall-timeout-ms sets a deadline the engine compares at round
+  // boundaries; expiry raises Error(Timeout) → exit 3.
+  iopt.watchdog.set_deadline(opt.wall_timeout_ms);
   // --threads bounds the workers a batch spreads its VM lanes over.
   if (opt.threads > 0) iopt.threads = static_cast<unsigned>(opt.threads);
   // --plan-cache-bytes=N: route plan construction through the two-stage
@@ -528,8 +601,8 @@ int cmd_run(const Design& design, const Options& opt) {
   const std::size_t batch = static_cast<std::size_t>(opt.batch);
   if (batch > 1 && iopt.faults != nullptr) {
     // Faults are per-instance by nature: replay each instance through
-    // the instrumented engine with its own derived fault seed, and
-    // report one verdict per instance instead of failing the batch.
+    // the interpreter with its own derived fault seed, and report one
+    // verdict per instance instead of failing the batch.
     int worst = 0;
     if (json) std::cout << "{\"instances\":[";
     for (std::size_t b = 0; b < batch; ++b) {
@@ -570,7 +643,6 @@ int cmd_run(const Design& design, const Options& opt) {
       }
     }
     if (json) std::cout << "]}\n";
-    deadline.disarm();
     return worst;
   }
 
@@ -585,7 +657,6 @@ int cmd_run(const Design& design, const Options& opt) {
     }
     metrics =
         execute_batch(prog, design.nest, sizes, stores.data(), batch, iopt);
-    deadline.disarm();
     for (std::size_t b = 0; opt.verify && bad.empty() && b < batch; ++b) {
       IndexedStore bexpected =
           seeded_store(design, sizes, static_cast<Int>(b));
@@ -594,7 +665,6 @@ int cmd_run(const Design& design, const Options& opt) {
     }
   } else {
     metrics = execute(prog, design.nest, sizes, store, iopt);
-    deadline.disarm();
     if (opt.verify) bad = first_mismatch(design, sizes, store, expected);
   }
 
@@ -974,37 +1044,22 @@ int main(int argc, char** argv) {
   try {
     if (argc < 2) return usage();
     std::string cmd = argv[1];
-    if (cmd == "help") return cmd_help();
-    if (cmd == "list") return cmd_list();
-    if (cmd == "fuzz") {
-      for (int i = 2; i < argc; ++i) {
-        if (!parse_flag(argv[i], opt)) {
-          std::cerr << "unknown flag '" << argv[i] << "'\n";
-          return usage();
-        }
-      }
-      return cmd_fuzz(opt);
+    if (cmd == "help" || cmd == "list") {
+      if (argc > 2) return usage();  // neither takes arguments
+      return cmd == "help" ? cmd_help() : cmd_list();
     }
+    if (!command_flags().contains(cmd)) return usage();
+    // fuzz, serve and client take flags only; the rest name a target.
+    const bool targeted = cmd != "fuzz" && cmd != "serve" && cmd != "client";
+    if (targeted && argc < 3) return usage();
+    if (!parse_flags(cmd, targeted ? 3 : 2, argc, argv, opt)) return usage();
+    if (cmd == "fuzz") return cmd_fuzz(opt);
     if (cmd == "serve" || cmd == "client") {
-      for (int i = 2; i < argc; ++i) {
-        if (!parse_flag(argv[i], opt)) {
-          std::cerr << "unknown flag '" << argv[i] << "'\n";
-          return usage();
-        }
-      }
       if (opt.socket.empty()) {
         std::cerr << cmd << " needs --socket=PATH\n";
         return usage();
       }
       return cmd == "serve" ? cmd_serve(opt) : cmd_client(opt);
-    }
-    if (argc < 3) return usage();
-
-    for (int i = 3; i < argc; ++i) {
-      if (!parse_flag(argv[i], opt)) {
-        std::cerr << "unknown flag '" << argv[i] << "'\n";
-        return usage();
-      }
     }
     if (cmd == "verify") return cmd_verify(argv[2], opt);
     if (cmd == "analyze") return cmd_analyze(argv[2], opt);
